@@ -1,5 +1,6 @@
-//! Sweep of `PipelineConfig::min_parallel_launch` through `RtDbscan`: where
-//! does the parallel ray launch start to beat the sequential one?
+//! Sweep of `RtDbscan::min_parallel_launch` (the index builder's knob of
+//! the same name): where does the parallel ray launch start to beat the
+//! sequential one?
 //!
 //! Below the threshold a launch runs on one thread (no fork/join overhead);
 //! above it, rays fan out across the rayon pool.  The crossover informs the

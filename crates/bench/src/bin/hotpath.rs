@@ -3,12 +3,11 @@
 //! Runs a fixed-seed, fig6-style **stage-1 sweep** (every point's
 //! ε-neighbour count, one batched launch over the whole dataset) on the
 //! binary backend and on a matrix of wide-batched configurations — query
-//! order × SIMD policy × node layout — and records wall-clock plus work
-//! counters to `BENCH_hotpath.json` at the repository root.  Index build
-//! time is excluded: the file tracks the *steady-state query path* that
-//! the scratch-arena (PR 4) and coherence/SIMD/layout (PR 5) work
-//! optimises, so future PRs can prove (or be caught regressing) the
-//! hot-path trajectory.
+//! order × SIMD policy — and records wall-clock plus work counters to
+//! `BENCH_hotpath.json` at the repository root.  Index build time is
+//! excluded: the file tracks the *steady-state query path* that the
+//! scratch-arena and coherence/SIMD work optimises, so future changes can
+//! prove (or be caught regressing) the hot-path trajectory.
 //!
 //! # Usage
 //!
@@ -79,18 +78,20 @@
 //!
 //! Each entry of `results` is one measurement cell:
 //! `{"n": 100000, "backend": "wide-batched", "query_order": "morton",
-//!   "simd": "avx2", "layout": "quantized", "best_ns": …, "mean_ns": …,
+//!   "simd": "avx2", "layout": "f32", "best_ns": …, "mean_ns": …,
 //!   "build_ns": …, "rays": …, "dist_comps": …, "prim_tests": …,
 //!   "node_visits": …, "wide_node_visits": …, "batched_launches": …}` —
 //! `query_order` / `simd` / `layout` name the launch configuration
-//! (`simd` records the **resolved** level actually run; the binary
-//! backend, which has no wide kernels, reports `"n/a"` for all three),
+//! (`simd` records the **resolved** level actually run; `layout` is
+//! always `"f32"`, the one wide-node layout, and stays in the cell so
+//! older files remain comparable; the binary backend, which has no wide
+//! kernels, reports `"n/a"` for all three),
 //! and `build_ns` is the wall-clock of the one index build the cell's
 //! launches ran against (the per-shard parallel build win lands here).
 //! The counters are the aggregate [`rtcore::hardware::WorkCounters`] of
 //! one stage-1 launch and must be identical run-to-run (they are work,
-//! not time; any drift is a correctness bug).  Every wide `f32`-layout
-//! cell must further agree with the binary cell on
+//! not time; any drift is a correctness bug).  Every wide cell must
+//! further agree with the binary cell on
 //! `dist_comps`/`prim_tests` (reordering and SIMD never change counted
 //! candidate work), and Morton cells must show strictly fewer
 //! `wide_node_visits` than their as-given twins — both asserted on every
@@ -111,9 +112,7 @@
 use rtcore::bvh::{spheres_from_points, BuildParallelism, Bvh, BvhBuilder, LbvhBuilder};
 use rtcore::geometry::Point3;
 use rtcore::hardware::WorkCounters;
-use rtcore::index::{
-    IndexKind, NeighborIndexBuilder, QueryOrder, ShardingConfig, SimdPolicy, WideLayout,
-};
+use rtcore::index::{IndexKind, NeighborIndexBuilder, QueryOrder, ShardingConfig, SimdPolicy};
 use rtcore::telemetry::{PhaseKind, TelemetryConfig};
 use rtdbscan_datasets::{generate, PaperDataset};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,31 +137,22 @@ const SHARD_SIZE: usize = 1 << 16;
 struct WideConfig {
     query_order: QueryOrder,
     simd: SimdPolicy,
-    layout: WideLayout,
 }
 
 /// The sweep matrix: the legacy configuration first (comparable with the
 /// pre-coherence baseline), then each coherence knob stacked on.
-const WIDE_CONFIGS: [WideConfig; 4] = [
+const WIDE_CONFIGS: [WideConfig; 3] = [
     WideConfig {
         query_order: QueryOrder::AsGiven,
         simd: SimdPolicy::Scalar,
-        layout: WideLayout::F32,
     },
     WideConfig {
         query_order: QueryOrder::AsGiven,
         simd: SimdPolicy::Auto,
-        layout: WideLayout::F32,
     },
     WideConfig {
         query_order: QueryOrder::Morton,
         simd: SimdPolicy::Auto,
-        layout: WideLayout::F32,
-    },
-    WideConfig {
-        query_order: QueryOrder::Morton,
-        simd: SimdPolicy::Auto,
-        layout: WideLayout::Quantized,
     },
 ];
 
@@ -277,7 +267,6 @@ fn sweep_size(points: &[Point3], reps: usize) -> Vec<Cell> {
         let builder = NeighborIndexBuilder {
             query_order: cfg.query_order,
             simd: cfg.simd,
-            wide_layout: cfg.layout,
             ..NeighborIndexBuilder::new(IndexKind::WideBatched)
         };
         // Record the level the policy actually resolved to, not the ask.
@@ -285,7 +274,7 @@ fn sweep_size(points: &[Point3], reps: usize) -> Vec<Cell> {
         cells.push(measure_stage1(
             &builder,
             "wide-batched",
-            (cfg.query_order.name(), resolved, cfg.layout.name()),
+            (cfg.query_order.name(), resolved, "f32"),
             points,
             EPS,
             reps,
@@ -608,19 +597,13 @@ fn profile_sharded(points: &[Point3]) {
 
 /// The counter invariants every sweep must satisfy (asserted in full runs
 /// and in `--smoke`): reordering and SIMD never change candidate work,
-/// Morton strictly reduces shared node fetches, and conservative
-/// quantisation can only add work.
+/// and Morton strictly reduces shared node fetches.
 fn assert_sweep_invariants(cells: &[Cell]) {
-    let find = |n: usize, order: &str, layout: &str| {
+    let find = |n: usize, order: &str| {
         cells
             .iter()
-            .find(|c| {
-                c.n == n
-                    && c.backend == "wide-batched"
-                    && c.query_order == order
-                    && c.layout == layout
-            })
-            .unwrap_or_else(|| panic!("missing wide cell n={n} order={order} layout={layout}"))
+            .find(|c| c.n == n && c.backend == "wide-batched" && c.query_order == order)
+            .unwrap_or_else(|| panic!("missing wide cell n={n} order={order}"))
     };
     let sizes: std::collections::BTreeSet<usize> = cells.iter().map(|c| c.n).collect();
     for &n in &sizes {
@@ -628,23 +611,21 @@ fn assert_sweep_invariants(cells: &[Cell]) {
             .iter()
             .find(|c| c.n == n && c.backend == "binary-bvh")
             .expect("binary cell");
-        let legacy = find(n, "as-given", "f32");
+        let legacy = find(n, "as-given");
         let simd = cells
             .iter()
             .find(|c| {
                 c.n == n
                     && c.backend == "wide-batched"
                     && c.query_order == "as-given"
-                    && c.layout == "f32"
                     && c.simd != legacy.simd
             })
             .unwrap_or(legacy);
-        let morton = find(n, "morton", "f32");
-        let quant = find(n, "morton", "quantized");
+        let morton = find(n, "morton");
         for cell in [legacy, simd, morton] {
             assert_eq!(
                 cell.counters.dist_comps, binary.counters.dist_comps,
-                "n={n}: wide f32 {}-order {} dist_comps must match binary",
+                "n={n}: wide {}-order {} dist_comps must match binary",
                 cell.query_order, cell.simd
             );
             assert_eq!(
@@ -662,15 +643,11 @@ fn assert_sweep_invariants(cells: &[Cell]) {
             morton.counters.wide_node_visits,
             legacy.counters.wide_node_visits
         );
-        assert!(
-            quant.counters.dist_comps >= morton.counters.dist_comps,
-            "n={n}: quantized boxes are conservative and can only add candidates"
-        );
     }
 }
 
 /// One instrumented stage-1 launch on the tuned wide configuration
-/// (Morton order, auto SIMD, quantized layout): exports the Chrome trace
+/// (Morton order, auto SIMD, f32 layout): exports the Chrome trace
 /// when `trace_out` is given and returns the heatmap's JSON when
 /// `heatmap` profiling was requested.  Runs apart from the timed sweep so
 /// recording overhead never lands in the recorded wall-clocks.
@@ -687,7 +664,6 @@ fn profile_stage1(
     let builder = NeighborIndexBuilder {
         query_order: QueryOrder::Morton,
         simd: SimdPolicy::Auto,
-        wide_layout: WideLayout::Quantized,
         telemetry: level,
         ..NeighborIndexBuilder::new(IndexKind::WideBatched)
     };
@@ -923,7 +899,7 @@ fn main() {
         profile_stage1(&points, trace_out.as_deref(), heatmap).map(|json| {
             format!(
                 "{{\"heatmap\":{{\"n\":{profile_n},\"backend\":\"wide-batched\",\
-                 \"config\":\"morton/auto/quantized\",\"data\":{json}}}}}"
+                 \"config\":\"morton/auto/f32\",\"data\":{json}}}}}"
             )
         })
     } else {

@@ -23,8 +23,7 @@
 //! traversal oracle, but the same two stages execute unchanged over a
 //! uniform grid or a brute-force scan.  The per-candidate work accounting
 //! (one `dist_comps` per Intersection-program invocation, AnyHit bounces for
-//! the triangle ablation) lives in the backend and is bit-identical to the
-//! pre-redesign pipeline launches.
+//! the triangle ablation) lives in the backend.
 
 use crate::labels::Clustering;
 use crate::params::DbscanParams;
@@ -33,9 +32,9 @@ use crate::stages;
 use rtcore::bvh::BuilderKind;
 use rtcore::geometry::Point3;
 use rtcore::hardware::ExecutionPath;
-use rtcore::index::{IndexKind, NeighborIndex, NeighborIndexBuilder};
-use rtcore::pipeline::{GeometryKind, PipelineConfig, TraversalEngine};
+use rtcore::index::{GeometryKind, IndexKind, NeighborIndex, NeighborIndexBuilder};
 use rtcore::telemetry::PhaseKind;
+use rtcore::traversal::TraversalEngine;
 use rtcore::Result;
 
 /// Configuration of RT-DBSCAN.
@@ -68,7 +67,8 @@ impl Default for RtDbscan {
             compaction: true,
             builder: BuilderKind::BinnedSah,
             geometry: GeometryKind::CustomSpheres,
-            min_parallel_launch: PipelineConfig::default().min_parallel_launch,
+            min_parallel_launch: NeighborIndexBuilder::new(IndexKind::WideBatched)
+                .min_parallel_launch,
             traversal: TraversalEngine::WideBatched,
         }
     }
@@ -483,7 +483,7 @@ mod tests {
         assert_eq!(parallel.index_builder().min_parallel_launch, 0);
         assert_eq!(
             RtDbscan::default().index_builder().min_parallel_launch,
-            PipelineConfig::default().min_parallel_launch
+            NeighborIndexBuilder::new(IndexKind::WideBatched).min_parallel_launch
         );
 
         let seq_run = sequential.run(&pts, params).unwrap();

@@ -56,7 +56,7 @@ pub use csr::CsrNeighbors;
 pub use grid::UniformGridIndex;
 pub use sharded::{QuarantineReason, RecoveryStats, ShardSelect, ShardedIndex};
 
-pub use crate::bvh::{BuildParallelism, ShardingConfig, WideLayout};
+pub use crate::bvh::{BuildParallelism, ShardingConfig};
 pub use crate::simd::SimdPolicy;
 pub use crate::traversal::QueryOrder;
 
@@ -66,7 +66,6 @@ use crate::fault::{CancelScope, FaultPlan, MemoryBudget};
 use crate::geometry::Point3;
 use crate::hardware::sat_bump;
 use crate::hardware::WorkCounters;
-use crate::pipeline::GeometryKind;
 use crate::telemetry::{NodeHeatmap, Telemetry, TelemetryConfig};
 
 /// One verified neighbour reported by a backend: the exact distance test has
@@ -90,6 +89,22 @@ pub enum NeighborFlow {
     /// Stop this query early (the early-exit optimisation); other queries of
     /// a batch are unaffected.
     Stop,
+}
+
+/// How sphere primitives are presented to the (simulated) hardware.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum GeometryKind {
+    /// Custom sphere primitives with a user Intersection program — the
+    /// configuration RT-DBSCAN uses.
+    #[default]
+    CustomSpheres,
+    /// Spheres tessellated into triangles so the hardware ray–triangle unit
+    /// can be used.  Every accepted hit must then go through the AnyHit
+    /// program, which Section VI-C measures as a 2–5× slowdown.
+    TriangleSpheres {
+        /// Number of triangles each sphere is tessellated into.
+        triangles_per_sphere: u32,
+    },
 }
 
 /// Which backend a [`NeighborIndexBuilder`] constructs.
@@ -581,14 +596,11 @@ pub struct NeighborIndexBuilder {
     /// packets to make coherent).  Outputs are restored to caller order
     /// bit-identically either way; see [`QueryOrder`].
     pub query_order: QueryOrder,
-    /// Which node representation the wide-batched traversal reads
-    /// ([`IndexKind::WideBatched`] only); see [`WideLayout`].
-    pub wide_layout: WideLayout,
     /// SIMD policy for the wide-batched hit-mask and leaf-distance
     /// kernels, resolved once per index build; see [`SimdPolicy`].
     pub simd: SimdPolicy,
     /// Logical parallelism of acceleration-structure construction (the LBVH
-    /// encode/sort/emit, the BVH4 collapse and the quantized bake).  The
+    /// encode/sort/emit and the BVH4 collapse).  The
     /// built structure is bit-identical for every setting —
     /// [`BuildParallelism::Sequential`] (the default) runs the legacy
     /// single-threaded path, so all counter-identity guarantees hold
@@ -627,9 +639,10 @@ pub struct NeighborIndexBuilder {
     /// ```
     pub sharding: Option<ShardingConfig>,
     /// Simulated device-memory budget for the built structure.  On
-    /// pressure the build degrades gracefully in documented order — drop
-    /// the quantized bake, evict the coldest shard BLAS to
-    /// rebuild-on-demand — before refusing with [`Error::OverBudget`].
+    /// pressure a sharded build degrades gracefully — it evicts the
+    /// coldest shard BLAS to rebuild-on-demand — before refusing with
+    /// [`Error::OverBudget`]; a flat build has nothing to evict and
+    /// refuses directly.
     /// Degradations are observable under
     /// [`crate::telemetry::PhaseKind::Degrade`] spans.  The default is
     /// [`MemoryBudget::Unlimited`], which changes nothing.
@@ -653,7 +666,6 @@ impl NeighborIndexBuilder {
             batch_size: 512,
             min_parallel_launch: 256,
             query_order: QueryOrder::AsGiven,
-            wide_layout: WideLayout::F32,
             simd: SimdPolicy::Auto,
             build_parallelism: BuildParallelism::Sequential,
             telemetry: TelemetryConfig::Off,
@@ -794,6 +806,15 @@ mod tests {
             .collect();
         out.sort_unstable();
         out
+    }
+
+    #[test]
+    fn default_geometry_is_custom_spheres() {
+        assert_eq!(GeometryKind::default(), GeometryKind::CustomSpheres);
+        assert_eq!(
+            NeighborIndexBuilder::new(IndexKind::WideBatched).geometry,
+            GeometryKind::CustomSpheres
+        );
     }
 
     #[test]

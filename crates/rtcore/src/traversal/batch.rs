@@ -34,10 +34,10 @@
 //! [`traverse_batch_with_scratch`]; the plain [`traverse_batch`] entry
 //! point allocates a one-shot scratch per call for convenience.
 
-use crate::bvh::wide::{CompactWideNode, CompactWideNodes, WideBvh, WideChild, WIDE_BRANCHING};
+use crate::bvh::wide::{WideBvh, WideChild, WIDE_BRANCHING};
 use crate::bvh::WideNode;
 use crate::fault::CancelScope;
-use crate::geometry::{Aabb, Ray, Sphere};
+use crate::geometry::{Ray, Sphere};
 use crate::hardware::sat_bump;
 use crate::hardware::WorkCounters;
 use crate::index::CsrNeighbors;
@@ -46,97 +46,42 @@ use crate::traversal::scratch::SegFrame;
 use crate::traversal::{NoSink, Traversal, TraversalOutcome, TraversalScratch, VisitSink};
 
 // ---------------------------------------------------------------------------
-// Node views: the engines are generic over the node representation
-// (full-precision [`WideNode`] vs quantised [`CompactWideNode`]) and over
-// the hit-mask kernel (scalar / SSE2 / AVX2), monomorphised per launch so
-// the inner loops carry no dispatch.
+// Hit-mask kernels: the wavefront engine is generic over the kernel
+// (scalar / SSE2 / AVX2), monomorphised per launch so the inner loops
+// carry no dispatch.
 // ---------------------------------------------------------------------------
 
-/// Operations the wavefront engine needs from a wide-node representation.
-pub(crate) trait WideNodeOps: Sync {
-    /// The slot's child reference.
-    fn child_of(&self, slot: usize) -> WideChild;
-    /// Number of non-empty child slots — the lanes the lockstep box unit
-    /// charges for.
-    fn occupied_slots(&self) -> u64;
-    /// Portable point containment mask (the scalar reference kernel).
-    fn mask_scalar(&self, x: f32, y: f32, z: f32) -> u8;
-    /// 4-bit hit mask for a general (non-point) ray: four slab tests
-    /// against the slot boxes.  Empty slots can never set their bit.
-    fn ray_mask(&self, ray: &Ray) -> u8;
+/// Number of non-empty child slots — the lanes the lockstep box unit
+/// charges for.
+#[inline]
+fn occupied_slots(node: &WideNode) -> u64 {
+    node.children
+        .iter()
+        .filter(|c| **c != WideChild::Empty)
+        .count() as u64
 }
 
-impl WideNodeOps for WideNode {
-    #[inline]
-    fn child_of(&self, slot: usize) -> WideChild {
-        self.children[slot]
+/// 4-bit hit mask for a general (non-point) ray: four slab tests against
+/// the slot boxes.  Empty slots can never set their bit.
+#[inline]
+fn ray_mask(node: &WideNode, ray: &Ray) -> u8 {
+    if ray.is_point_query() {
+        return node.point_hit_mask(ray.origin);
     }
-
-    #[inline]
-    fn occupied_slots(&self) -> u64 {
-        self.children
-            .iter()
-            .filter(|c| **c != WideChild::Empty)
-            .count() as u64
-    }
-
-    #[inline]
-    fn mask_scalar(&self, x: f32, y: f32, z: f32) -> u8 {
-        self.point_hit_mask_xyz(x, y, z)
-    }
-
-    #[inline]
-    fn ray_mask(&self, ray: &Ray) -> u8 {
-        if ray.is_point_query() {
-            return self.point_hit_mask(ray.origin);
+    let mut mask = 0u8;
+    for slot in 0..WIDE_BRANCHING {
+        if node.child_bounds(slot).intersects_ray(ray) {
+            mask |= 1 << slot;
         }
-        let mut mask = 0u8;
-        for slot in 0..WIDE_BRANCHING {
-            if self.child_bounds(slot).intersects_ray(ray) {
-                mask |= 1 << slot;
-            }
-        }
-        mask
     }
-}
-
-impl WideNodeOps for CompactWideNode {
-    #[inline]
-    fn child_of(&self, slot: usize) -> WideChild {
-        self.child(slot)
-    }
-
-    #[inline]
-    fn occupied_slots(&self) -> u64 {
-        self.occupancy_mask().count_ones() as u64
-    }
-
-    #[inline]
-    fn mask_scalar(&self, x: f32, y: f32, z: f32) -> u8 {
-        self.point_hit_mask_xyz(x, y, z)
-    }
-
-    #[inline]
-    fn ray_mask(&self, ray: &Ray) -> u8 {
-        if ray.is_point_query() {
-            let o = ray.origin;
-            return self.point_hit_mask_xyz(o.x, o.y, o.z);
-        }
-        let mut mask = 0u8;
-        for slot in 0..WIDE_BRANCHING {
-            if self.child(slot) != WideChild::Empty && self.child_bounds(slot).intersects_ray(ray) {
-                mask |= 1 << slot;
-            }
-        }
-        mask
-    }
+    mask
 }
 
 /// A point hit-mask kernel, monomorphised into the engine body so the
 /// SIMD level is selected exactly once per launch — never per node.
-pub(crate) trait MaskKernel<N> {
+pub(crate) trait MaskKernel {
     /// 4-bit containment mask of `(x, y, z)` against the node's slots.
-    fn mask(node: &N, x: f32, y: f32, z: f32) -> u8;
+    fn mask(node: &WideNode, x: f32, y: f32, z: f32) -> u8;
 }
 
 /// The portable scalar kernel (and the bit-exactness oracle).
@@ -150,15 +95,15 @@ pub(crate) struct KernelSse2;
 #[cfg(target_arch = "x86_64")]
 pub(crate) struct KernelAvx2;
 
-impl<N: WideNodeOps> MaskKernel<N> for KernelScalar {
+impl MaskKernel for KernelScalar {
     #[inline]
-    fn mask(node: &N, x: f32, y: f32, z: f32) -> u8 {
-        node.mask_scalar(x, y, z)
+    fn mask(node: &WideNode, x: f32, y: f32, z: f32) -> u8 {
+        node.point_hit_mask_xyz(x, y, z)
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-impl MaskKernel<WideNode> for KernelSse2 {
+impl MaskKernel for KernelSse2 {
     #[inline]
     fn mask(node: &WideNode, x: f32, y: f32, z: f32) -> u8 {
         node.point_hit_mask_xyz_sse2(x, y, z)
@@ -166,75 +111,19 @@ impl MaskKernel<WideNode> for KernelSse2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-impl MaskKernel<WideNode> for KernelAvx2 {
+impl MaskKernel for KernelAvx2 {
     #[inline]
     fn mask(node: &WideNode, x: f32, y: f32, z: f32) -> u8 {
         // SAFETY: `KernelAvx2` is only selected after runtime detection
-        // (see `dispatch_runs`).
+        // (see `traverse_batch_runs_with_scratch_sink_cancel`).
         unsafe { node.point_hit_mask_xyz_avx2(x, y, z) }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-impl MaskKernel<CompactWideNode> for KernelSse2 {
-    #[inline]
-    fn mask(node: &CompactWideNode, x: f32, y: f32, z: f32) -> u8 {
-        node.point_hit_mask_xyz_sse2(x, y, z)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl MaskKernel<CompactWideNode> for KernelAvx2 {
-    #[inline]
-    fn mask(node: &CompactWideNode, x: f32, y: f32, z: f32) -> u8 {
-        // The quantised node's dequantising chain has no 256-bit shape
-        // worth extra plumbing; the AVX2 level shares the SSE2 kernel.
-        node.point_hit_mask_xyz_sse2(x, y, z)
-    }
-}
-
-/// A wide scene in whichever node layout the launch traverses —
-/// full-precision [`WideNode`]s or the quantised
-/// [`crate::bvh::CompactWideNodes`] mirror (see
-/// [`crate::bvh::WideLayout`]).  Both layouts read the same leaf-ordered
-/// primitive array, so neighbour sets are identical; the quantised boxes
-/// are conservative and may only admit extra candidates.
-#[derive(Clone, Copy)]
-pub enum WideScene<'a> {
-    /// Full-precision SoA `[f32; 4]` lanes.
-    F32(&'a WideBvh),
-    /// Quantised `u8`-offset nodes mirroring `wide`'s structure.
-    Quantized {
-        /// The source scene (primitive array + scene bounds).
-        wide: &'a WideBvh,
-        /// The compact node mirror produced by
-        /// [`CompactWideNodes::from_wide`].
-        nodes: &'a CompactWideNodes,
-    },
-}
-
-impl<'a> WideScene<'a> {
-    /// The underlying full-precision scene (primitives + bounds).
-    pub fn wide(&self) -> &'a WideBvh {
-        match self {
-            WideScene::F32(wide) | WideScene::Quantized { wide, .. } => wide,
-        }
-    }
-
-    /// The leaf-ordered primitive array both layouts index into.
-    pub fn primitives(&self) -> &'a [Sphere] {
-        &self.wide().primitives
-    }
-}
-
 /// Single-ray wide traversal over a caller-provided node stack (the scratch
-/// and one-shot entry points share this body, generic over the node
-/// layout).
-#[allow(clippy::too_many_arguments)]
-fn traverse_wide_on_stack<N, S, F>(
-    nodes: &[N],
-    scene_bounds: &Aabb,
-    primitives: &[Sphere],
+/// and one-shot entry points share this body).
+fn traverse_wide_on_stack<S, F>(
+    wide: &WideBvh,
     ray: &Ray,
     stack: &mut Vec<u32>,
     counters: &mut WorkCounters,
@@ -242,7 +131,6 @@ fn traverse_wide_on_stack<N, S, F>(
     mut on_primitive: F,
 ) -> TraversalOutcome
 where
-    N: WideNodeOps,
     S: VisitSink,
     F: FnMut(&Sphere, &mut WorkCounters) -> Traversal,
 {
@@ -250,28 +138,28 @@ where
         terminated_early: false,
         primitives_visited: 0,
     };
-    if nodes.is_empty() {
+    if wide.nodes.is_empty() {
         return outcome;
     }
     // Root test against the scene bounds, mirroring the binary engine.
     sat_bump(&mut counters.aabb_tests, 1);
-    if !scene_bounds.intersects_ray(ray) {
+    if !wide.scene_bounds.intersects_ray(ray) {
         return outcome;
     }
 
     stack.clear();
     stack.push(0);
     'outer: while let Some(idx) = stack.pop() {
-        let node = &nodes[idx as usize];
+        let node = &wide.nodes[idx as usize];
         sat_bump(&mut counters.wide_node_visits, 1);
         sink.visit(idx);
-        sat_bump(&mut counters.aabb_tests, node.occupied_slots());
-        let mask = node.ray_mask(ray);
+        sat_bump(&mut counters.aabb_tests, occupied_slots(node));
+        let mask = ray_mask(node, ray);
         for slot in 0..WIDE_BRANCHING {
             if mask & (1 << slot) == 0 {
                 continue;
             }
-            match node.child_of(slot) {
+            match node.children[slot] {
                 WideChild::Empty => {}
                 WideChild::Node(child) => {
                     stack.push(child);
@@ -282,7 +170,7 @@ where
                 } => {
                     let first = first_prim as usize;
                     let count = prim_count as usize;
-                    for prim in &primitives[first..first + count] {
+                    for prim in &wide.primitives[first..first + count] {
                         sat_bump(&mut counters.prim_tests, 1);
                         outcome.primitives_visited += 1;
                         if on_primitive(prim, counters) == Traversal::Terminate {
@@ -314,16 +202,7 @@ where
     F: FnMut(&Sphere, &mut WorkCounters) -> Traversal,
 {
     let mut stack: Vec<u32> = Vec::with_capacity(32);
-    traverse_wide_on_stack(
-        &wide.nodes,
-        &wide.scene_bounds,
-        &wide.primitives,
-        ray,
-        &mut stack,
-        counters,
-        NoSink,
-        on_primitive,
-    )
+    traverse_wide_on_stack(wide, ray, &mut stack, counters, NoSink, on_primitive)
 }
 
 /// [`traverse_wide`] reusing the node stack of a caller-held scratch —
@@ -338,39 +217,13 @@ pub fn traverse_wide_with_scratch<F>(
 where
     F: FnMut(&Sphere, &mut WorkCounters) -> Traversal,
 {
-    traverse_wide_on_stack(
-        &wide.nodes,
-        &wide.scene_bounds,
-        &wide.primitives,
-        ray,
-        &mut scratch.node_stack,
-        counters,
-        NoSink,
-        on_primitive,
-    )
+    traverse_wide_with_scratch_sink(wide, ray, scratch, counters, NoSink, on_primitive)
 }
 
-/// Single-ray traversal of a [`WideScene`] in either node layout, reusing
-/// a caller-held scratch.  On the quantised layout hit masks are
-/// conservative (may admit extra leaf runs, never miss one), so reported
-/// hits are identical and only the counted box/candidate work can grow.
-pub fn traverse_wide_scene_with_scratch<F>(
-    scene: WideScene<'_>,
-    ray: &Ray,
-    scratch: &mut TraversalScratch,
-    counters: &mut WorkCounters,
-    on_primitive: F,
-) -> TraversalOutcome
-where
-    F: FnMut(&Sphere, &mut WorkCounters) -> Traversal,
-{
-    traverse_wide_scene_with_scratch_sink(scene, ray, scratch, counters, NoSink, on_primitive)
-}
-
-/// [`traverse_wide_scene_with_scratch`] with a node-visit sink for the
-/// heatmap profiler; `NoSink` monomorphises back to the plain body.
-pub(crate) fn traverse_wide_scene_with_scratch_sink<S, F>(
-    scene: WideScene<'_>,
+/// [`traverse_wide_with_scratch`] with a node-visit sink for the heatmap
+/// profiler; `NoSink` monomorphises back to the plain body.
+pub(crate) fn traverse_wide_with_scratch_sink<S, F>(
+    wide: &WideBvh,
     ray: &Ray,
     scratch: &mut TraversalScratch,
     counters: &mut WorkCounters,
@@ -381,29 +234,14 @@ where
     S: VisitSink,
     F: FnMut(&Sphere, &mut WorkCounters) -> Traversal,
 {
-    let wide = scene.wide();
-    match scene {
-        WideScene::F32(_) => traverse_wide_on_stack(
-            &wide.nodes,
-            &wide.scene_bounds,
-            &wide.primitives,
-            ray,
-            &mut scratch.node_stack,
-            counters,
-            sink,
-            on_primitive,
-        ),
-        WideScene::Quantized { nodes, .. } => traverse_wide_on_stack(
-            &nodes.nodes,
-            &wide.scene_bounds,
-            &wide.primitives,
-            ray,
-            &mut scratch.node_stack,
-            counters,
-            sink,
-            on_primitive,
-        ),
-    }
+    traverse_wide_on_stack(
+        wide,
+        ray,
+        &mut scratch.node_stack,
+        counters,
+        sink,
+        on_primitive,
+    )
 }
 
 /// Traverse a wide scene with a packet of rays in wavefront order.
@@ -472,12 +310,14 @@ pub fn traverse_batch_with_scratch<'s, F>(
 where
     F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
 {
-    traverse_batch_scene_with_scratch(
-        WideScene::F32(wide),
+    traverse_batch_with_scratch_sink(
+        wide,
         rays,
         scratch,
         counters,
         detect_simd(),
+        NoSink,
+        None,
         on_primitive,
     )
 }
@@ -501,37 +341,21 @@ pub fn traverse_batch_with_scratch_cancellable<'s, F>(
     scratch: &'s mut TraversalScratch,
     counters: &mut WorkCounters,
     cancel: &CancelScope,
-    mut on_primitive: F,
+    on_primitive: F,
 ) -> crate::error::Result<&'s [TraversalOutcome]>
 where
     F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
 {
-    let prims = &wide.primitives;
     let mut local = WorkCounters::ZERO;
-    let outcomes = traverse_batch_runs_with_scratch_sink_cancel(
-        WideScene::F32(wide),
+    let outcomes = traverse_batch_with_scratch_sink(
+        wide,
         rays,
         scratch,
         &mut local,
         detect_simd(),
         NoSink,
         Some(cancel),
-        move |q, first, count, counters| {
-            let mut visited = 0u32;
-            for prim in &prims[first as usize..(first + count) as usize] {
-                visited += 1;
-                if on_primitive(q, prim, counters) == Traversal::Terminate {
-                    return LeafVisit {
-                        visited,
-                        terminate: true,
-                    };
-                }
-            }
-            LeafVisit {
-                visited,
-                terminate: false,
-            }
-        },
+        on_primitive,
     );
     if cancel.tripped() {
         return Err(crate::error::Error::DeadlineExceeded {
@@ -543,39 +367,14 @@ where
     Ok(outcomes)
 }
 
-/// [`traverse_batch_with_scratch`] generalised over the node layout and
-/// the hit-mask SIMD level: the per-primitive callback form over a
-/// [`WideScene`], with `level` resolved once by the caller (see
-/// [`crate::simd::SimdPolicy::resolve`]).
-pub fn traverse_batch_scene_with_scratch<'s, F>(
-    scene: WideScene<'_>,
-    rays: &[Ray],
-    scratch: &'s mut TraversalScratch,
-    counters: &mut WorkCounters,
-    level: SimdLevel,
-    on_primitive: F,
-) -> &'s [TraversalOutcome]
-where
-    F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
-{
-    traverse_batch_scene_with_scratch_sink(
-        scene,
-        rays,
-        scratch,
-        counters,
-        level,
-        NoSink,
-        None,
-        on_primitive,
-    )
-}
-
-/// [`traverse_batch_scene_with_scratch`] with a node-visit sink for the
-/// heatmap profiler and an optional [`CancelScope`]; `NoSink` + `None`
+/// The per-primitive callback form of the wavefront engine with a
+/// node-visit sink for the heatmap profiler, an optional [`CancelScope`]
+/// and the hit-mask SIMD `level` resolved once by the caller (see
+/// [`crate::simd::SimdPolicy::resolve`]); `NoSink` + `None`
 /// monomorphises back to the plain body.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn traverse_batch_scene_with_scratch_sink<'s, S, F>(
-    scene: WideScene<'_>,
+pub(crate) fn traverse_batch_with_scratch_sink<'s, S, F>(
+    wide: &WideBvh,
     rays: &[Ray],
     scratch: &'s mut TraversalScratch,
     counters: &mut WorkCounters,
@@ -588,9 +387,9 @@ where
     S: VisitSink,
     F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
 {
-    let prims = scene.primitives();
+    let prims = &wide.primitives;
     traverse_batch_runs_with_scratch_sink_cancel(
-        scene,
+        wide,
         rays,
         scratch,
         counters,
@@ -641,7 +440,7 @@ where
 {
     let prims = &wide.primitives;
     traverse_batch_runs_with_scratch(
-        WideScene::F32(wide),
+        wide,
         rays,
         scratch,
         counters,
@@ -663,14 +462,12 @@ where
 /// primitive lanes ([`crate::bvh::PrimLanes`]) without materialising a
 /// `&[Sphere]` slice.
 ///
-/// The scene may be in either node layout and `level` selects the
-/// hit-mask kernel **once for the whole launch** (resolve a
-/// [`crate::simd::SimdPolicy`] first); the engine body is monomorphised
-/// per (layout × kernel) pair, so the per-node loop contains no dispatch.
-/// Counted work and traversal order are identical across SIMD levels; the
-/// quantised layout may conservatively admit extra runs (never drop one).
+/// `level` selects the hit-mask kernel **once for the whole launch**
+/// (resolve a [`crate::simd::SimdPolicy`] first); the engine body is
+/// monomorphised per kernel, so the per-node loop contains no dispatch.
+/// Counted work and traversal order are identical across SIMD levels.
 pub fn traverse_batch_runs_with_scratch<'s, F>(
-    scene: WideScene<'_>,
+    wide: &WideBvh,
     rays: &[Ray],
     scratch: &'s mut TraversalScratch,
     counters: &mut WorkCounters,
@@ -678,35 +475,18 @@ pub fn traverse_batch_runs_with_scratch<'s, F>(
     on_run: F,
 ) -> &'s [TraversalOutcome]
 where
-    F: FnMut(usize, u32, u32, &mut WorkCounters) -> LeafVisit,
-{
-    traverse_batch_runs_with_scratch_sink(scene, rays, scratch, counters, level, NoSink, on_run)
-}
-
-/// [`traverse_batch_runs_with_scratch`] with a node-visit sink for the
-/// heatmap profiler.  The sink joins the (layout × kernel) monomorphisation
-/// key, so the `NoSink` instantiations are exactly the engine bodies that
-/// exist without profiling — zero extra work on the default path.
-pub(crate) fn traverse_batch_runs_with_scratch_sink<'s, S, F>(
-    scene: WideScene<'_>,
-    rays: &[Ray],
-    scratch: &'s mut TraversalScratch,
-    counters: &mut WorkCounters,
-    level: SimdLevel,
-    sink: S,
-    on_run: F,
-) -> &'s [TraversalOutcome]
-where
-    S: VisitSink,
     F: FnMut(usize, u32, u32, &mut WorkCounters) -> LeafVisit,
 {
     traverse_batch_runs_with_scratch_sink_cancel(
-        scene, rays, scratch, counters, level, sink, None, on_run,
+        wide, rays, scratch, counters, level, NoSink, None, on_run,
     )
 }
 
-/// [`traverse_batch_runs_with_scratch_sink`] under an optional
-/// [`CancelScope`].  The scope is a **runtime** parameter — it does not
+/// [`traverse_batch_runs_with_scratch`] with a node-visit sink for the
+/// heatmap profiler and an optional [`CancelScope`].  The sink joins the
+/// kernel monomorphisation key, so the `NoSink` instantiations are exactly
+/// the engine bodies that exist without profiling — zero extra work on
+/// the default path.  The scope is a **runtime** parameter — it does not
 /// join the monomorphisation key, so the cancellable and plain paths share
 /// the exact same engine bodies and the inert case costs one predictable
 /// null-check branch per frontier pop (measured ≤1% in the hotpath bench).
@@ -717,7 +497,7 @@ where
 /// [`crate::Error::DeadlineExceeded`] instead of results.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn traverse_batch_runs_with_scratch_sink_cancel<'s, S, F>(
-    scene: WideScene<'_>,
+    wide: &WideBvh,
     rays: &[Ray],
     scratch: &'s mut TraversalScratch,
     counters: &mut WorkCounters,
@@ -730,98 +510,22 @@ where
     S: VisitSink,
     F: FnMut(usize, u32, u32, &mut WorkCounters) -> LeafVisit,
 {
-    let wide = scene.wide();
-    match scene {
-        WideScene::F32(_) => match level {
-            SimdLevel::Scalar => wavefront_core::<WideNode, KernelScalar, S, F>(
-                &wide.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => wavefront_core::<WideNode, KernelSse2, S, F>(
-                &wide.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => wavefront_core::<WideNode, KernelAvx2, S, F>(
-                &wide.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => wavefront_core::<WideNode, KernelScalar, S, F>(
-                &wide.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-        },
-        WideScene::Quantized { nodes, .. } => match level {
-            SimdLevel::Scalar => wavefront_core::<CompactWideNode, KernelScalar, S, F>(
-                &nodes.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => wavefront_core::<CompactWideNode, KernelSse2, S, F>(
-                &nodes.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => wavefront_core::<CompactWideNode, KernelAvx2, S, F>(
-                &nodes.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => wavefront_core::<CompactWideNode, KernelScalar, S, F>(
-                &nodes.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-        },
+    match level {
+        SimdLevel::Scalar => wavefront_core::<KernelScalar, S, F>(
+            wide, rays, scratch, counters, sink, cancel, on_run,
+        ),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 => {
+            wavefront_core::<KernelSse2, S, F>(wide, rays, scratch, counters, sink, cancel, on_run)
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            wavefront_core::<KernelAvx2, S, F>(wide, rays, scratch, counters, sink, cancel, on_run)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => wavefront_core::<KernelScalar, S, F>(
+            wide, rays, scratch, counters, sink, cancel, on_run,
+        ),
     }
 }
 
@@ -829,12 +533,10 @@ where
 /// load) happen every pop, the coarse poll (clock read) only this often.
 const CANCEL_POLL_INTERVAL: u32 = 64;
 
-/// The monomorphic wavefront engine body: one instantiation per
-/// (node layout × mask kernel) pair.
-#[allow(clippy::too_many_arguments)]
-fn wavefront_core<'s, N, K, S, F>(
-    nodes: &[N],
-    scene_bounds: &Aabb,
+/// The monomorphic wavefront engine body: one instantiation per mask
+/// kernel.
+fn wavefront_core<'s, K, S, F>(
+    wide: &WideBvh,
     rays: &[Ray],
     scratch: &'s mut TraversalScratch,
     counters: &mut WorkCounters,
@@ -843,8 +545,7 @@ fn wavefront_core<'s, N, K, S, F>(
     mut on_run: F,
 ) -> &'s [TraversalOutcome]
 where
-    N: WideNodeOps,
-    K: MaskKernel<N>,
+    K: MaskKernel,
     S: VisitSink,
     F: FnMut(usize, u32, u32, &mut WorkCounters) -> LeafVisit,
 {
@@ -861,7 +562,7 @@ where
         return &scratch.outcomes;
     }
     sat_bump(&mut counters.batched_launches, 1);
-    if nodes.is_empty() {
+    if wide.nodes.is_empty() {
         return &scratch.outcomes;
     }
     // Packet-launch granularity: an already-tripped scope skips the launch
@@ -893,7 +594,7 @@ where
     frames.clear();
     for (q, ray) in rays.iter().enumerate() {
         sat_bump(&mut counters.aabb_tests, 1);
-        if scene_bounds.intersects_ray(ray) {
+        if wide.scene_bounds.intersects_ray(ray) {
             arena.push(q as u32);
         }
     }
@@ -929,7 +630,7 @@ where
                 break;
             }
         }
-        let node = &nodes[frame.node as usize];
+        let node = &wide.nodes[frame.node as usize];
         let seg_start = frame.seg_start as usize;
         // LIFO discipline: the popped frame's segment is the arena suffix.
         debug_assert_eq!(seg_start + frame.seg_len as usize, arena.len());
@@ -946,7 +647,7 @@ where
                 let mask = if all_point_queries {
                     K::mask(node, qx[qi], qy[qi], qz[qi])
                 } else {
-                    node.ray_mask(&rays[qi])
+                    ray_mask(node, &rays[qi])
                 };
                 live.push(q);
                 masks.push(mask);
@@ -962,7 +663,7 @@ where
         sink.visit(frame.node);
         sat_bump(
             &mut counters.aabb_tests,
-            node.occupied_slots() * live.len() as u64,
+            occupied_slots(node) * live.len() as u64,
         );
 
         for slot in 0..WIDE_BRANCHING {
@@ -976,7 +677,7 @@ where
             if arena.len() == child_start {
                 continue;
             }
-            match node.child_of(slot) {
+            match node.children[slot] {
                 WideChild::Empty => {
                     unreachable!("empty slots can never match the hit mask")
                 }

@@ -23,13 +23,12 @@ pub mod scratch;
 pub use batch::{
     collect_sphere_hits_batch, collect_sphere_hits_csr, traverse_batch,
     traverse_batch_leaves_with_scratch, traverse_batch_runs_with_scratch,
-    traverse_batch_scene_with_scratch, traverse_batch_with_scratch,
-    traverse_batch_with_scratch_cancellable, traverse_wide, traverse_wide_scene_with_scratch,
-    traverse_wide_with_scratch, LeafVisit, WideScene,
+    traverse_batch_with_scratch, traverse_batch_with_scratch_cancellable, traverse_wide,
+    traverse_wide_with_scratch, LeafVisit,
 };
 pub(crate) use batch::{
-    traverse_batch_runs_with_scratch_sink_cancel, traverse_batch_scene_with_scratch_sink,
-    traverse_wide_scene_with_scratch_sink,
+    traverse_batch_runs_with_scratch_sink_cancel, traverse_batch_with_scratch_sink,
+    traverse_wide_with_scratch_sink,
 };
 pub use order::{QueryOrder, ReorderScratch};
 pub use scratch::{PoolGuard, ScratchPool, TraversalScratch};
@@ -64,6 +63,18 @@ impl VisitSink for &crate::telemetry::NodeHeatmap {
     fn visit(self, node: u32) {
         self.record(node);
     }
+}
+
+/// Which traversal substrate a BVH-backed query path walks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraversalEngine {
+    /// One ray at a time over the binary tree — the reference engine, kept
+    /// as the oracle every other path is tested against.
+    Binary,
+    /// Ray packets over a collapsed wide (BVH4) scene: each wide node a
+    /// packet reaches is fetched once for the whole packet (see
+    /// [`batch`]).
+    WideBatched,
 }
 
 /// Decision returned by a primitive callback.

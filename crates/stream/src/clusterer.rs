@@ -38,8 +38,8 @@ use rtcore::geometry::{Point3, Ray, Sphere};
 use rtcore::hardware::sat_bump;
 use rtcore::hardware::WorkCounters;
 use rtcore::index::CsrNeighbors;
-use rtcore::pipeline::TraversalEngine;
 use rtcore::telemetry::{PhaseKind, Telemetry};
+use rtcore::traversal::TraversalEngine;
 use rtcore::traversal::{traverse, traverse_batch_with_scratch, Traversal, TraversalScratch};
 use rtcore::Result;
 use rtdbscan::disjoint_set::EpochDisjointSet;
@@ -1293,8 +1293,8 @@ mod tests {
             cfg.snapshot_traversal = engine;
             StreamingClusterer::new(cfg).unwrap()
         };
-        let mut wide = make(rtcore::pipeline::TraversalEngine::WideBatched);
-        let mut binary = make(rtcore::pipeline::TraversalEngine::Binary);
+        let mut wide = make(rtcore::traversal::TraversalEngine::WideBatched);
+        let mut binary = make(rtcore::traversal::TraversalEngine::Binary);
         for wave in 0..8 {
             let pts: Vec<Point3> = (0..20)
                 .map(|i| {

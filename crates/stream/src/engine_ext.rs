@@ -4,7 +4,7 @@
 //! streaming shapes alike.
 
 use crate::{StreamingClusterer, StreamingConfig, WindowPolicy};
-use rtcore::pipeline::TraversalEngine;
+use rtcore::traversal::TraversalEngine;
 use rtdbscan::engine::{ClusterEngine, IndexKind};
 
 /// Streaming entry points on [`ClusterEngine`] (bring this trait into scope

@@ -2,8 +2,8 @@
 
 use rtcore::bvh::{BuildParallelism, RefitPolicy};
 use rtcore::fault::{FaultPlan, MemoryBudget, RetryPolicy};
-use rtcore::pipeline::TraversalEngine;
 use rtcore::telemetry::TelemetryConfig;
+use rtcore::traversal::TraversalEngine;
 use rtdbscan::DbscanParams;
 
 /// Which points are "live": the sliding-window retention policy.
