@@ -32,13 +32,13 @@ fn concurrent_dsu_overlapping_unions_converge() {
         let a = {
             let dsu = Arc::clone(&dsu);
             thread::spawn(move || {
-                dsu.union(0, 1);
+                dsu.union(0, 1, &mut WorkCounters::default());
             })
         };
         let b = {
             let dsu = Arc::clone(&dsu);
             thread::spawn(move || {
-                dsu.union(1, 2);
+                dsu.union(1, 2, &mut WorkCounters::default());
             })
         };
         a.join().unwrap();
@@ -60,18 +60,24 @@ fn concurrent_dsu_racing_same_pair_merges_once() {
         let dsu = Arc::new(ConcurrentDisjointSet::new(2));
         let spawn_union = |dsu: &Arc<ConcurrentDisjointSet>| {
             let dsu = Arc::clone(dsu);
-            thread::spawn(move || dsu.union(0, 1))
+            thread::spawn(move || {
+                let mut tally = WorkCounters::ZERO;
+                (dsu.union(0, 1, &mut tally), tally)
+            })
         };
         let a = spawn_union(&dsu);
         let b = spawn_union(&dsu);
-        let merged_a = a.join().unwrap();
-        let merged_b = b.join().unwrap();
+        let (merged_a, tally_a) = a.join().unwrap();
+        let (merged_b, tally_b) = b.join().unwrap();
         assert!(
             merged_a ^ merged_b,
             "exactly one thread must win the linking CAS (a={merged_a}, b={merged_b})"
         );
-        let (_, merges) = dsu.op_counts();
-        assert_eq!(merges, 1, "merge counter must record the single link");
+        assert_eq!(
+            tally_a.union_ops + tally_b.union_ops,
+            1,
+            "the threads' own tallies must record the single link"
+        );
     });
 }
 
@@ -84,11 +90,11 @@ fn concurrent_dsu_find_during_union_is_linearizable() {
     loom::model(|| {
         let dsu = Arc::new(ConcurrentDisjointSet::new(3));
         // Pre-link 1 under 2 so the racing union must re-root a chain.
-        dsu.union(1, 2);
+        dsu.union(1, 2, &mut WorkCounters::default());
         let u = {
             let dsu = Arc::clone(&dsu);
             thread::spawn(move || {
-                dsu.union(0, 2);
+                dsu.union(0, 2, &mut WorkCounters::default());
             })
         };
         let f = {

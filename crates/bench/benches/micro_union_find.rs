@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rayon::prelude::*;
+use rtcore::hardware::WorkCounters;
 use rtdbscan::disjoint_set::{ConcurrentDisjointSet, SequentialDisjointSet};
 
 /// Deterministic pseudo-random union pairs resembling DBSCAN's stage 2:
@@ -15,6 +16,9 @@ fn union_pairs(n: usize) -> Vec<(usize, usize)> {
         })
         .collect()
 }
+
+/// Union pairs per parallel work item (one tally each).
+const CHUNK: usize = 1024;
 
 fn bench_union_find(c: &mut Criterion) {
     let n = 200_000;
@@ -41,10 +45,11 @@ fn bench_union_find(c: &mut Criterion) {
         |b, _| {
             b.iter(|| {
                 let dsu = ConcurrentDisjointSet::new(n);
+                let mut tally = WorkCounters::ZERO;
                 for &(a, bb) in &pairs {
-                    dsu.union(a, bb);
+                    dsu.union(a, bb, &mut tally);
                 }
-                std::hint::black_box(dsu.find(0))
+                std::hint::black_box((dsu.find(0), tally))
             })
         },
     );
@@ -55,10 +60,22 @@ fn bench_union_find(c: &mut Criterion) {
         |b, _| {
             b.iter(|| {
                 let dsu = ConcurrentDisjointSet::new(n);
-                pairs.par_iter().for_each(|&(a, bb)| {
-                    dsu.union(a, bb);
-                });
-                std::hint::black_box(dsu.find(0))
+                // Chunk-local tallies merged at the join, as stage 2's
+                // packet counters are.
+                let tallies: Vec<WorkCounters> = pairs
+                    .chunks(CHUNK)
+                    .collect::<Vec<_>>()
+                    .par_iter()
+                    .map(|chunk| {
+                        let mut tally = WorkCounters::ZERO;
+                        for &(a, bb) in chunk.iter() {
+                            dsu.union(a, bb, &mut tally);
+                        }
+                        tally
+                    })
+                    .collect();
+                let tally = tallies.into_iter().fold(WorkCounters::ZERO, |t, c| t + c);
+                std::hint::black_box((dsu.find(0), tally))
             })
         },
     );

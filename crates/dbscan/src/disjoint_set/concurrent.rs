@@ -8,22 +8,29 @@
 //! under races: the final forest depends only on the set of union pairs, not
 //! on their interleaving, which is what makes the parallel clustering
 //! reproducible.
+//!
+//! [`ConcurrentDisjointSet::union`] charges its `find_ops`/`union_ops` to the
+//! caller's [`WorkCounters`] (in stage 2, the packet-local counters each
+//! neighbour sink receives) rather than to a shared tally: a shared counter
+//! is one cache line every core writes twice per neighbour pair, which on
+//! porto-dense (n = 50 000, 2 cores) took union-find self time from about
+//! 0.2 s to 2.4 s.
+
+use rtcore::hardware::{sat_bump, WorkCounters};
 
 // Under the `loom` feature the forest's atomics become model-aware so the
 // interleaving checker can exhaustively schedule concurrent unions; release
 // builds compile to the std atomics with zero overhead.
 #[cfg(feature = "loom")]
-use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use loom::sync::atomic::{AtomicUsize, Ordering};
 #[cfg(not(feature = "loom"))]
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A disjoint-set forest that can be updated concurrently from many threads
 /// through shared references.
 #[derive(Debug)]
 pub struct ConcurrentDisjointSet {
     parent: Vec<AtomicUsize>,
-    finds: AtomicU64,
-    merges: AtomicU64,
 }
 
 impl ConcurrentDisjointSet {
@@ -31,8 +38,6 @@ impl ConcurrentDisjointSet {
     pub fn new(n: usize) -> Self {
         ConcurrentDisjointSet {
             parent: (0..n).map(AtomicUsize::new).collect(),
-            finds: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
         }
     }
 
@@ -46,14 +51,14 @@ impl ConcurrentDisjointSet {
         self.parent.is_empty()
     }
 
-    /// Find the representative of `x` with path halving.
+    /// Find the representative of `x` with path halving.  Untallied: a
+    /// caller that counts its finds charges them itself.
     // ordering: Acquire on parent loads pairs with the AcqRel CAS in
     // `union`/the halving CAS, so a thread that observes a link also
     // observes everything published before it; the halving CAS itself is
     // AcqRel (Relaxed on failure — a lost race is retried, nothing is
-    // published).  The `finds` tally is Relaxed: statistics only.
+    // published).
     pub fn find(&self, mut x: usize) -> usize {
-        self.finds.fetch_add(1, Ordering::Relaxed);
         loop {
             let p = self.parent[x].load(Ordering::Acquire);
             if p == x {
@@ -76,14 +81,18 @@ impl ConcurrentDisjointSet {
 
     /// Merge the sets containing `a` and `b`.  Returns `true` if this call
     /// performed the merge (false if they were already in the same set).
+    ///
+    /// Charges `tally` one `find_ops` per root resolution (two per attempt,
+    /// retries included) and one `union_ops` per link; pass a thread- or
+    /// packet-local counter set so concurrent callers share only the forest.
     // ordering: the linking CAS is AcqRel — Release publishes the new edge
     // to subsequent Acquire loads in `find`, Acquire orders this thread
     // against the edge it replaces; failure uses Acquire because the
-    // observed value feeds the retry's root resolution.  The `merges`
-    // tally is Relaxed: statistics only.
-    pub fn union(&self, a: usize, b: usize) -> bool {
+    // observed value feeds the retry's root resolution.
+    pub fn union(&self, a: usize, b: usize, tally: &mut WorkCounters) -> bool {
         let mut ra = self.find(a);
         let mut rb = self.find(b);
+        sat_bump(&mut tally.find_ops, 2);
         loop {
             if ra == rb {
                 return false;
@@ -94,13 +103,14 @@ impl ConcurrentDisjointSet {
             let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
             match self.parent[hi].compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
-                    self.merges.fetch_add(1, Ordering::Relaxed);
+                    sat_bump(&mut tally.union_ops, 1);
                     return true;
                 }
                 Err(_) => {
                     // Someone moved `hi` first; re-resolve the roots and retry.
                     ra = self.find(ra);
                     rb = self.find(rb);
+                    sat_bump(&mut tally.find_ops, 2);
                 }
             }
         }
@@ -133,16 +143,6 @@ impl ConcurrentDisjointSet {
     pub fn roots(&self) -> Vec<usize> {
         (0..self.len()).map(|i| self.find(i)).collect()
     }
-
-    /// (find operations, successful merges) performed so far.
-    // ordering: Relaxed — monitoring tallies, read after the parallel
-    // phase joins.
-    pub fn op_counts(&self) -> (u64, u64) {
-        (
-            self.finds.load(Ordering::Relaxed),
-            self.merges.load(Ordering::Relaxed),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -153,17 +153,19 @@ mod tests {
     #[test]
     fn basic_union_find() {
         let dsu = ConcurrentDisjointSet::new(4);
+        let mut tally = WorkCounters::ZERO;
         assert_eq!(dsu.len(), 4);
-        assert!(dsu.union(0, 1));
-        assert!(!dsu.union(1, 0));
+        assert!(dsu.union(0, 1, &mut tally));
+        assert!(!dsu.union(1, 0, &mut tally));
         assert!(dsu.same_set(0, 1));
         assert!(!dsu.same_set(0, 2));
-        assert!(dsu.union(2, 3));
-        assert!(dsu.union(0, 3));
+        assert!(dsu.union(2, 3, &mut tally));
+        assert!(dsu.union(0, 3, &mut tally));
         assert!(dsu.same_set(1, 2));
-        let (finds, merges) = dsu.op_counts();
-        assert_eq!(merges, 3);
-        assert!(finds > 0);
+        // Uncontended: two root resolutions per call, one link per merge,
+        // and nothing charged by `same_set`.
+        assert_eq!(tally.union_ops, 3);
+        assert_eq!(tally.find_ops, 8);
     }
 
     #[test]
@@ -178,7 +180,7 @@ mod tests {
         let n = 10_000;
         let dsu = ConcurrentDisjointSet::new(n);
         (0..n - 1).into_par_iter().for_each(|i| {
-            dsu.union(i, i + 1);
+            dsu.union(i, i + 1, &mut WorkCounters::default());
         });
         let root0 = dsu.find(0);
         for i in (0..n).step_by(97) {
@@ -200,7 +202,7 @@ mod tests {
             .collect();
         let conc = ConcurrentDisjointSet::new(n);
         pairs.par_iter().for_each(|&(a, b)| {
-            conc.union(a, b);
+            conc.union(a, b, &mut WorkCounters::default());
         });
         let mut seq = SequentialDisjointSet::new(n);
         for &(a, b) in &pairs {
@@ -218,7 +220,7 @@ mod tests {
     fn roots_are_self_parents() {
         let dsu = ConcurrentDisjointSet::new(100);
         for i in 0..50 {
-            dsu.union(i, i + 50);
+            dsu.union(i, i + 50, &mut WorkCounters::default());
         }
         for (i, r) in dsu.roots().into_iter().enumerate() {
             assert_eq!(dsu.find(r), r, "root of {i} is not a root");
@@ -234,7 +236,7 @@ mod tests {
         let run = || {
             let dsu = ConcurrentDisjointSet::new(n);
             pairs.par_iter().for_each(|&(a, b)| {
-                dsu.union(a, b);
+                dsu.union(a, b, &mut WorkCounters::default());
             });
             dsu.roots()
         };

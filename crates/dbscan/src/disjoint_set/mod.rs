@@ -9,15 +9,17 @@
 //!   oracle in tests;
 //! * [`ConcurrentDisjointSet`] — a lock-free version over atomics that many
 //!   rayon workers can update concurrently, standing in for the GPU-side
-//!   parallel Union-Find of FDBSCAN/RT-DBSCAN (including the "critical
-//!   section" union of Algorithm 3, line 14, which is expressed here as a
-//!   compare-and-swap claim);
+//!   parallel Union-Find of FDBSCAN/RT-DBSCAN (stage 2 in `stages` decides
+//!   which border points it unions, the "critical section" of Algorithm 3,
+//!   line 14);
 //! * [`EpochDisjointSet`] — union-by-rank with O(1) whole-structure reset
 //!   via epoch stamping, used by the streaming clusterer to re-form
 //!   clusters across sliding-window snapshots without reallocating.
 //!
-//! Both structures count the union/find work they perform so the device
-//! cost model can charge it.
+//! All three count the union/find work they perform so the device cost
+//! model can charge it: the sequential and epoch structures keep their own
+//! tallies, while the concurrent one charges the caller's `WorkCounters`
+//! so parallel callers share no counter.
 
 mod concurrent;
 mod epoch;
@@ -54,7 +56,7 @@ mod tests {
         let conc = ConcurrentDisjointSet::new(n);
         for &(a, b) in &unions {
             seq.union(a, b);
-            conc.union(a, b);
+            conc.union(a, b, &mut rtcore::hardware::WorkCounters::default());
         }
         for i in 0..n {
             for j in 0..n.min(50) {

@@ -858,7 +858,7 @@ impl ClusterEngine {
     /// Both clustering stages poll `scope` at packet granularity; a trip
     /// surfaces as [`rtcore::Error::DeadlineExceeded`] carrying the work
     /// counted so far, and every partial stage result (counts, union-find
-    /// merges, claims) is discarded — a cancelled run never returns a wrong
+    /// merges, border owners) is discarded — a cancelled run never returns a wrong
     /// clustering.  With [`CancelScope::none`] the counted work is
     /// bit-identical to [`ClusterEngine::run`]'s two-stage formulation.
     ///
@@ -932,7 +932,7 @@ impl ClusterEngine {
         let device_bytes = index.device_bytes()
             + std::mem::size_of_val(points) as u64
             + (n * std::mem::size_of::<usize>()) as u64 // union-find parents
-            + 2 * n as u64; // core + claimed flags
+            + 5 * n as u64; // core flags + border owners (u32)
 
         Ok(RunResult {
             clustering: Clustering::new(labels, core),
@@ -1482,6 +1482,8 @@ mod tests {
         let s = sharded.run(&pts).unwrap();
         assert_eq!(f.clustering.core, s.clustering.core);
         assert!(same_clustering(&f.clustering, &s.clustering, &pts, params));
+        // Both name each cluster by its smallest member.
+        assert_eq!(f.clustering.labels, s.clustering.labels);
         assert_eq!(
             f.counters.core_identification.dist_comps, s.counters.core_identification.dist_comps,
             "aligned shards must charge the flat path's candidate work"
@@ -1535,40 +1537,109 @@ mod tests {
 
     #[test]
     fn run_cancellable_with_no_scope_matches_run_exactly() {
-        use rtcore::fault::CancelScope;
         let pts = blobs();
         let params = DbscanParams::new(0.5, 5).unwrap();
         // Flat and sharded backends: the none-scope cancellable path must be
         // bit-identical to the plain two-stage run (counters included — this
-        // is the "deadline checks are free when unset" contract).
-        for build in [
-            ClusterEngine::builder().params(params),
-            ClusterEngine::builder().params(params).shard_size(48),
-        ] {
-            let engine = build.build().unwrap();
-            let plain = engine.run(&pts).unwrap();
-            let cancellable = engine.run_cancellable(&pts, &CancelScope::none()).unwrap();
-            assert_eq!(plain.clustering.core, cancellable.clustering.core);
-            assert!(same_clustering(
-                &plain.clustering,
-                &cancellable.clustering,
-                &pts,
-                params
-            ));
-            assert_eq!(
-                plain.counters.core_identification,
-                cancellable.counters.core_identification
-            );
-            if engine.index_config().sharding.is_none() {
-                // The sharded uncancellable path runs the stitched (two
-                // launch) shape, which counts work differently; flat paths
-                // must match bit for bit.
-                assert_eq!(
-                    plain.counters.cluster_formation,
-                    cancellable.counters.cluster_formation
-                );
+        // is the "deadline checks are free when unset" contract).  Each runs
+        // with a sequential stage-2 launch (fewer core queries than the
+        // threshold) and a parallel one.
+        let mut labels = Vec::new();
+        for sharded in [false, true] {
+            for min_parallel_launch in [pts.len(), 1] {
+                let mut build = ClusterEngine::builder()
+                    .params(params)
+                    .min_parallel_launch(min_parallel_launch);
+                if sharded {
+                    build = build.shard_size(48);
+                }
+                let engine = build.build().unwrap();
+                labels.push(assert_cancellable_matches_run(&engine, &pts, params));
             }
         }
+        // Flat-shaped stage 2 gives bit-identical labels over either
+        // backend and launch shape.
+        assert!(labels.iter().all(|l| *l == labels[0]));
+    }
+
+    /// Assert the none-scope cancellable run equals the plain run, and that
+    /// stage 2's union-find tallies, charged to the launch's per-packet
+    /// counters, survive the merge: a flat-shaped stage 2 links each
+    /// assigned point into its cluster exactly once, so
+    /// `union_ops == (core + border) - clusters`.  Returns the cancellable
+    /// run's labels.
+    fn assert_cancellable_matches_run(
+        engine: &ClusterEngine,
+        pts: &[Point3],
+        params: DbscanParams,
+    ) -> Vec<i64> {
+        use rtcore::fault::CancelScope;
+        let links = |c: &Clustering| (c.labels.len() - c.noise_count() - c.num_clusters()) as u64;
+        let plain = engine.run(pts).unwrap();
+        let cancellable = engine.run_cancellable(pts, &CancelScope::none()).unwrap();
+        assert_eq!(plain.clustering.core, cancellable.clustering.core);
+        assert!(same_clustering(
+            &plain.clustering,
+            &cancellable.clustering,
+            pts,
+            params
+        ));
+        assert_eq!(
+            plain.counters.core_identification,
+            cancellable.counters.core_identification
+        );
+        // The cancellable launch is flat-shaped over every backend.
+        assert_eq!(
+            cancellable.counters.cluster_formation.union_ops,
+            links(&cancellable.clustering)
+        );
+        if engine.index_config().sharding.is_none() {
+            // The sharded uncancellable path runs the stitched (two
+            // launch) shape, which counts work differently; flat paths
+            // must match bit for bit.
+            assert_eq!(
+                plain.counters.cluster_formation,
+                cancellable.counters.cluster_formation
+            );
+            assert_eq!(plain.clustering.labels, cancellable.clustering.labels);
+        }
+        cancellable.clustering.labels
+    }
+
+    #[test]
+    fn shard_stitch_span_carries_only_the_epoch_set_traffic() {
+        let pts = blobs();
+        let engine = ClusterEngine::builder()
+            .eps(0.5)
+            .min_pts(5)
+            .shard_size(48)
+            .telemetry(TelemetryConfig::Spans)
+            .build()
+            .unwrap();
+        let session = engine.session(&pts).unwrap();
+        let run = session.cluster(5).unwrap();
+        let stage2 = run.counters.cluster_formation;
+        let spans = session.index().telemetry().unwrap().spans();
+        let sum = |phase| {
+            spans
+                .iter()
+                .filter(|s| s.phase == phase)
+                .fold(WorkCounters::ZERO, |acc, s| acc + s.counters)
+        };
+        let stitch = sum(PhaseKind::ShardStitch);
+        // The epoch set imports the intra-shard partition and merges the
+        // boundary edges, ending at the final clusters: one link per
+        // assigned point beyond the first of each cluster.
+        let c = &run.clustering;
+        let epoch_merges = (c.labels.len() - c.noise_count() - c.num_clusters()) as u64;
+        assert_eq!(stitch.union_ops, epoch_merges);
+        // The intra-shard union-find traffic rode the phase-A launch (the
+        // stage-1 count launch charges none); borders that phase A reached
+        // join the intra-shard partition between the two spans.
+        let launches = sum(PhaseKind::TlasVisit);
+        assert!(launches.union_ops > 0, "phase A merged nothing");
+        assert!(launches.union_ops + stitch.union_ops <= stage2.union_ops);
+        assert!(launches.find_ops + stitch.find_ops <= stage2.find_ops);
     }
 
     #[test]

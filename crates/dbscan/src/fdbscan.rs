@@ -4,8 +4,8 @@
 //! FDBSCAN builds a bounding-volume hierarchy over the points and runs two
 //! parallel stages: (1) a fixed-radius traversal per point to count
 //! neighbours and mark core points, and (2) a second traversal per core
-//! point that merges clusters through a parallel Union-Find, claiming border
-//! points atomically.  It stores no neighbour lists, which is what gives it
+//! point that merges clusters through a parallel Union-Find, assigning each
+//! border point to one cluster.  It stores no neighbour lists, which is what gives it
 //! its minimal memory footprint.
 //!
 //! Since the `NeighborIndex` redesign the two stages are the shared
@@ -106,7 +106,7 @@ impl Fdbscan {
         let device_bytes = index.device_bytes()
             + std::mem::size_of_val(points) as u64
             + (n * std::mem::size_of::<usize>()) as u64 // union-find parents
-            + 2 * n as u64; // core + claimed flags
+            + 5 * n as u64; // core flags + border owners (u32)
 
         Ok(RunResult {
             clustering: Clustering::new(labels, core),

@@ -2,8 +2,9 @@
 //!
 //! DBSCAN's output is deterministic for core points and noise, but border
 //! points that are reachable from more than one cluster may legitimately be
-//! assigned to either (the paper handles this with the atomic claim in
-//! Algorithm 3).  Comparing two implementations therefore needs a notion of
+//! assigned to either (the paper resolves this with the atomic claim in
+//! Algorithm 3; this workspace gives such a point to its lowest-index core
+//! neighbour).  Comparing two implementations therefore needs a notion of
 //! equivalence that is exact on core points and tolerant of border
 //! ambiguity; [`same_clustering`] implements it.  [`adjusted_rand_index`] and
 //! [`normalized_mutual_information`] are also provided for fuzzier,

@@ -13,7 +13,9 @@
 //!    `minPts` neighbours are core points.
 //! 3. **Stage 2 — cluster formation** (Algorithm 3, lines 7–18): one ray per
 //!    core point; core neighbours merge through a parallel Union-Find and
-//!    border points are claimed atomically (the paper's critical section).
+//!    each border point joins exactly one cluster, that of its lowest-index
+//!    core neighbour (the paper's critical section, made
+//!    schedule-independent).
 //!    Neighbour lists are never materialised — the distance work is simply
 //!    recomputed, which is what keeps the memory footprint minimal.
 //!
@@ -184,7 +186,7 @@ impl RtDbscan {
         let device_bytes = index.device_bytes()
             + std::mem::size_of_val(points) as u64
             + (n * std::mem::size_of::<usize>()) as u64 // union-find parents
-            + 2 * n as u64; // core + claimed flags
+            + 5 * n as u64; // core flags + border owners (u32)
 
         Ok(RunResult {
             clustering: Clustering::new(labels, core),

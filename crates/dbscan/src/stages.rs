@@ -3,7 +3,8 @@
 //!
 //! Stage 1 counts every point's ε-neighbours in one batched launch; stage 2
 //! launches one query per core point and merges clusters through a parallel
-//! union-find, claiming border points atomically.  Both RT-DBSCAN and the
+//! union-find, giving each border point to its lowest-index core
+//! neighbour.  Both RT-DBSCAN and the
 //! FDBSCAN baseline are thin configurations of these two functions — the
 //! substrate (binary BVH vs BVH4 packets vs grid vs brute force) is whatever
 //! backend the caller hands in, which is the point of the redesign.
@@ -14,10 +15,10 @@ use rtcore::fault::CancelScope;
 use rtcore::geometry::Point3;
 use rtcore::hardware::sat_bump;
 use rtcore::hardware::WorkCounters;
-use rtcore::index::{NeighborFlow, NeighborIndex, ShardSelect, ShardedIndex};
+use rtcore::index::{Neighbor, NeighborFlow, NeighborIndex, ShardSelect, ShardedIndex};
 use rtcore::telemetry::PhaseKind;
 use rtcore::Result;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Stage 1: every point's exact ε-neighbour count (self excluded), answered
 /// by one batched launch over the backend's **count output mode**.
@@ -81,12 +82,127 @@ pub(crate) fn count_all_neighbors_cancellable(
     ))
 }
 
-/// Stage 2: one query per core point; core neighbours merge through the
-/// concurrent union-find and border points are claimed atomically (the
-/// paper's critical section, Algorithm 3 line 14).  Returns the final
-/// labels (noise = [`NOISE`]) and the stage's counted work, including the
-/// union-find traffic and the duplicate fix-up pass for compacting
-/// backends.
+/// Stage-2 state shared by every launch shape: one query per core point,
+/// the concurrent union-find and each border point's owner.
+struct Stage2<'a> {
+    core: &'a [bool],
+    core_indices: Vec<u32>,
+    queries: Vec<Point3>,
+    dsu: ConcurrentDisjointSet,
+    /// Lowest-index core neighbour of each non-core point; `u32::MAX`
+    /// while none has reached it.
+    owner: Vec<AtomicU32>,
+}
+
+impl<'a> Stage2<'a> {
+    fn new(points: &[Point3], core: &'a [bool]) -> Self {
+        let n = points.len();
+        let core_indices: Vec<u32> = (0..n as u32).filter(|&i| core[i as usize]).collect();
+        let queries = core_indices.iter().map(|&i| points[i as usize]).collect();
+        Stage2 {
+            core,
+            core_indices,
+            queries,
+            dsu: ConcurrentDisjointSet::new(n),
+            owner: (0..n).map(|_| AtomicU32::new(u32::MAX)).collect(),
+        }
+    }
+
+    /// The stage-2 edge rule for core point `p` and its neighbour `q`:
+    /// true when `q` is core, so the caller merges the two now; a border
+    /// `q` instead records `p` as its owner if `p` is its lowest-index core
+    /// neighbour so far.  A border point reachable from several clusters
+    /// thus joins one (Algorithm 3's critical section) chosen by index, not
+    /// by scheduling, once every launch has joined
+    /// ([`Stage2::settle_borders`]).
+    // ordering: Relaxed — the owner cell publishes nothing but its own
+    // value, `fetch_min` is order-insensitive, and it is read only after
+    // the launch joins, which provides the happens-before edge.
+    fn admit(&self, p: usize, q: usize) -> bool {
+        if !self.core[q] && (p as u32) < self.owner[q].load(Ordering::Relaxed) {
+            self.owner[q].fetch_min(p as u32, Ordering::Relaxed);
+        }
+        self.core[q]
+    }
+
+    /// [`Stage2::admit`] as the neighbour sink of a launch over
+    /// `self.queries`.  The union-find charges `tally`, the packet-local
+    /// counters the launch merges at its join.
+    fn edge(&self, ordinal: usize, neighbor: Neighbor, tally: &mut WorkCounters) -> NeighborFlow {
+        let p = self.core_indices[ordinal] as usize;
+        let q = neighbor.index as usize;
+        if q != p && self.admit(p, q) {
+            self.dsu.union(p, q, tally);
+        }
+        NeighborFlow::Continue
+    }
+
+    /// The owner of border point `q`, if a core neighbour reached it.
+    /// Read after the launches have joined.
+    // ordering: Relaxed — the parallel region has joined, which already
+    // provides the happens-before edge.
+    fn owner(&self, q: usize) -> Option<usize> {
+        let o = self.owner[q].load(Ordering::Relaxed);
+        (o != u32::MAX).then_some(o as usize)
+    }
+
+    /// Join every reached border point to its owner through `join(owner,
+    /// border)`, in index order.
+    fn settle_borders(&self, mut join: impl FnMut(usize, usize)) {
+        for q in 0..self.owner.len() {
+            if let Some(p) = self.owner(q) {
+                join(p, q);
+            }
+        }
+    }
+
+    /// Materialise labels: core points and owned borders take `root(i)`,
+    /// the rest are [`NOISE`].  Coincident duplicates merged away by a
+    /// compacting backend inherit their representative's assignment (they
+    /// have identical neighbourhoods, so this is always a valid DBSCAN
+    /// assignment); each such fix-up charges one `misc_ops`.
+    fn labels(
+        &self,
+        index: &dyn NeighborIndex,
+        mut root: impl FnMut(usize) -> usize,
+        counters: &mut WorkCounters,
+    ) -> Vec<i64> {
+        let n = self.core.len();
+        let mut labels: Vec<i64> = (0..n)
+            .map(|i| {
+                if self.core[i] || self.owner(i).is_some() {
+                    root(i) as i64
+                } else {
+                    NOISE
+                }
+            })
+            .collect();
+        let mut dup_fixups = 0u64;
+        for i in 0..n {
+            let rep = index.representative_of(i as u32) as usize;
+            if rep != i && labels[i] == NOISE && labels[rep] >= 0 {
+                labels[i] = labels[rep];
+                dup_fixups += 1;
+            }
+        }
+        sat_bump(&mut counters.misc_ops, dup_fixups);
+        labels
+    }
+
+    /// The flat stage-2 shape after its launch: borders join their owners
+    /// in the union-find, then labels are its roots.
+    fn finish(&self, index: &dyn NeighborIndex, counters: &mut WorkCounters) -> Vec<i64> {
+        self.settle_borders(|p, q| {
+            self.dsu.union(p, q, counters);
+        });
+        self.labels(index, |i| self.dsu.find(i), counters)
+    }
+}
+
+/// Stage 2: one query per core point, each neighbour handled by the
+/// [edge rule](Stage2::admit).  Returns the final labels (noise =
+/// [`NOISE`]) and the stage's counted work, including the union-find
+/// traffic and the duplicate fix-up pass for compacting backends.
 pub(crate) fn form_clusters(
     index: &dyn NeighborIndex,
     points: &[Point3],
@@ -96,61 +212,12 @@ pub(crate) fn form_clusters(
     if let Some(sharded) = index.as_sharded() {
         return form_clusters_stitched(sharded, index, points, core, eps);
     }
-    let n = points.len();
-    let core_indices: Vec<u32> = (0..n as u32).filter(|&i| core[i as usize]).collect();
-    let queries: Vec<Point3> = core_indices.iter().map(|&i| points[i as usize]).collect();
-    let dsu = ConcurrentDisjointSet::new(n);
-    let claimed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-
-    // ordering: the border-claim CAS is AcqRel so the winning claim is
-    // ordered against the union it guards (Relaxed on failure: losers do
-    // nothing).  The post-join label reads use Relaxed — the parallel
-    // region has joined, which already provides the happens-before edge.
+    let stage = Stage2::new(points, core);
     let mut counters = WorkCounters::ZERO;
-    index.batch_neighbors(&queries, eps, &mut counters, &|ordinal, neighbor, _| {
-        let p = core_indices[ordinal] as usize;
-        let q = neighbor.index as usize;
-        if q != p {
-            if core[q] {
-                dsu.union(p, q);
-            } else if claimed[q]
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                // A border point may be reachable from several clusters but
-                // must join exactly one.
-                dsu.union(p, q);
-            }
-        }
-        NeighborFlow::Continue
+    index.batch_neighbors(&stage.queries, eps, &mut counters, &|o, n, t| {
+        stage.edge(o, n, t)
     });
-    let (find_ops, union_ops) = dsu.op_counts();
-    sat_bump(&mut counters.find_ops, find_ops);
-    sat_bump(&mut counters.union_ops, union_ops);
-
-    // Materialise labels.  Coincident duplicates merged away by a
-    // compacting backend inherit their representative's assignment (they
-    // have identical neighbourhoods, so this is always a valid DBSCAN
-    // assignment).
-    let mut labels: Vec<i64> = (0..n)
-        .map(|i| {
-            if core[i] || claimed[i].load(Ordering::Relaxed) {
-                dsu.find(i) as i64
-            } else {
-                NOISE
-            }
-        })
-        .collect();
-    let mut dup_fixups = 0u64;
-    for i in 0..n {
-        let rep = index.representative_of(i as u32) as usize;
-        if rep != i && labels[i] == NOISE && labels[rep] >= 0 {
-            labels[i] = labels[rep];
-            dup_fixups += 1;
-        }
-    }
-    sat_bump(&mut counters.misc_ops, dup_fixups);
-
+    let labels = stage.finish(index, &mut counters);
     (labels, counters)
 }
 
@@ -161,7 +228,7 @@ pub(crate) fn form_clusters(
 /// correctness — both shapes enumerate the same candidate set, so the
 /// clustering is identical (the counted work may differ, which is why the
 /// uncancellable entry point keeps the stitched path).  A trip surfaces as
-/// [`rtcore::Error::DeadlineExceeded`]; the union-find and claim state
+/// [`rtcore::Error::DeadlineExceeded`]; the union-find and owner state
 /// live in this frame, so a cancelled stage discards every partial merge.
 pub(crate) fn form_clusters_cancellable(
     index: &dyn NeighborIndex,
@@ -170,73 +237,29 @@ pub(crate) fn form_clusters_cancellable(
     eps: f32,
     scope: &CancelScope,
 ) -> Result<(Vec<i64>, WorkCounters)> {
-    let n = points.len();
-    let core_indices: Vec<u32> = (0..n as u32).filter(|&i| core[i as usize]).collect();
-    let queries: Vec<Point3> = core_indices.iter().map(|&i| points[i as usize]).collect();
-    let dsu = ConcurrentDisjointSet::new(n);
-    let claimed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-
-    // ordering: identical discipline to `form_clusters` — AcqRel on the
-    // winning border-claim CAS, Relaxed reads after the launch has joined.
+    let stage = Stage2::new(points, core);
     let mut counters = WorkCounters::ZERO;
     index.batch_neighbors_cancellable(
-        &queries,
+        &stage.queries,
         eps,
         &mut counters,
-        &|ordinal, neighbor, _| {
-            let p = core_indices[ordinal] as usize;
-            let q = neighbor.index as usize;
-            if q != p {
-                // Core neighbours always union; border points union only for
-                // the first core that claims them (the CAS is short-circuited
-                // away for cores, so its side effect fires exactly as before).
-                if core[q]
-                    || claimed[q]
-                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    dsu.union(p, q);
-                }
-            }
-            NeighborFlow::Continue
-        },
+        &|o, n, t| stage.edge(o, n, t),
         scope,
     )?;
-    let (find_ops, union_ops) = dsu.op_counts();
-    sat_bump(&mut counters.find_ops, find_ops);
-    sat_bump(&mut counters.union_ops, union_ops);
-
-    let mut labels: Vec<i64> = (0..n)
-        .map(|i| {
-            if core[i] || claimed[i].load(Ordering::Relaxed) {
-                dsu.find(i) as i64
-            } else {
-                NOISE
-            }
-        })
-        .collect();
-    let mut dup_fixups = 0u64;
-    for i in 0..n {
-        let rep = index.representative_of(i as u32) as usize;
-        if rep != i && labels[i] == NOISE && labels[rep] >= 0 {
-            labels[i] = labels[rep];
-            dup_fixups += 1;
-        }
-    }
-    sat_bump(&mut counters.misc_ops, dup_fixups);
-
+    let labels = stage.finish(index, &mut counters);
     Ok((labels, counters))
 }
 
 /// Stage 2 over a two-level scene: intra-shard clustering first (one
-/// [`ShardSelect::Owner`] launch applying the flat union/claim logic), then
-/// the cross-shard boundary pass — a [`ShardSelect::CrossOnly`] launch whose
+/// [`ShardSelect::Owner`] launch applying the flat edge rule), then the
+/// cross-shard boundary pass — a [`ShardSelect::CrossOnly`] launch whose
 /// edges are merged through the O(1)-reset epoch union-find under a
 /// `shard_stitch` telemetry span.  The two launches together enumerate
 /// exactly the candidate set of one flat launch (see
 /// [`ShardedIndex::batch_neighbors_stitched`]), and union-find merges are
 /// order-insensitive, so the core partition is identical to the flat path's;
-/// border points join exactly one reachable cluster, as in the flat path.
+/// every border point joins the cluster of its lowest-index core
+/// neighbour, as in the flat path.
 fn form_clusters_stitched(
     sharded: &ShardedIndex,
     index: &dyn NeighborIndex,
@@ -245,12 +268,12 @@ fn form_clusters_stitched(
     eps: f32,
 ) -> (Vec<i64>, WorkCounters) {
     let n = points.len();
-    let core_indices: Vec<u32> = (0..n as u32).filter(|&i| core[i as usize]).collect();
-    let queries: Vec<Point3> = core_indices.iter().map(|&i| points[i as usize]).collect();
+    let stage = Stage2::new(points, core);
     // Owner of each query's representative primitive; a query whose
     // representative has no live shard (never the case for a freshly built
     // scene) degrades to "everything is cross-shard", which stays correct.
-    let owners: Vec<u32> = core_indices
+    let owners: Vec<u32> = stage
+        .core_indices
         .iter()
         .map(|&i| {
             sharded
@@ -258,89 +281,72 @@ fn form_clusters_stitched(
                 .unwrap_or(u32::MAX)
         })
         .collect();
-    let dsu = ConcurrentDisjointSet::new(n);
-    let claimed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let mut counters = WorkCounters::ZERO;
 
-    // ordering: same discipline as the flat path — AcqRel on the winning
-    // border-claim CAS (Relaxed on failure), Relaxed for every read that
-    // happens after the launch has joined (phase B and label materialise
-    // run strictly after phase A's join).
-
-    // Phase A — intra-shard: each query only visits its owning BLAS; the
-    // sink is the flat stage-2 logic verbatim.
+    // Phase A — intra-shard: each query only visits its owning BLAS; its
+    // union-find traffic rides the launch's packet counters.
     sharded.batch_neighbors_stitched(
-        &queries,
+        &stage.queries,
         &owners,
         ShardSelect::Owner,
         eps,
         &mut counters,
-        &|ordinal, neighbor, _| {
-            let p = core_indices[ordinal] as usize;
-            let q = neighbor.index as usize;
-            // Core neighbours always merge; border points are claimed by
-            // exactly one cluster (the CAS runs only for non-core q).
-            if q != p
-                && (core[q]
-                    || claimed[q]
-                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok())
-            {
-                dsu.union(p, q);
-            }
-            NeighborFlow::Continue
-        },
+        &|o, n, t| stage.edge(o, n, t),
     );
+    // Borders reached inside their shard join the intra-shard partition;
+    // the rest join in the stitch.
+    let in_shard: Vec<bool> = (0..n).map(|q| stage.owner(q).is_some()).collect();
 
-    // Phase B — boundary regions: collect the cross-shard edges, then merge
-    // them through the epoch union-find so the stitch work is visible as its
-    // own phase (and its own union-find traffic).
+    // Phase B — boundary regions: border ends lower their owner at once;
+    // core-core edges are merged through the epoch union-find, so the
+    // stitch is visible as its own phase with its own union-find traffic.
     let cross_edges: std::sync::Mutex<Vec<(u32, u32)>> = std::sync::Mutex::new(Vec::new());
     sharded.batch_neighbors_stitched(
-        &queries,
+        &stage.queries,
         &owners,
         ShardSelect::CrossOnly,
         eps,
         &mut counters,
         &|ordinal, neighbor, _| {
-            let p = core_indices[ordinal];
-            if neighbor.index != p {
+            let p = stage.core_indices[ordinal] as usize;
+            let q = neighbor.index as usize;
+            if q != p && stage.admit(p, q) {
                 cross_edges
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push((p, neighbor.index));
+                    .push((p as u32, q as u32));
             }
             NeighborFlow::Continue
         },
     );
+    stage.settle_borders(|p, q| {
+        if in_shard[q] {
+            stage.dsu.union(p, q, &mut counters);
+        }
+    });
 
     let span = sharded.telemetry().map(|t| t.span(PhaseKind::ShardStitch));
+    let mut stitch_counters = WorkCounters::ZERO;
     let mut epoch = EpochDisjointSet::new(n);
-    // Import the intra-shard partition: attach every assigned point to its
-    // phase-A representative.
+    // Import the intra-shard partition: attach every point it holds to its
+    // representative there (one find each).
     for i in 0..n {
-        if core[i] || claimed[i].load(Ordering::Relaxed) {
-            epoch.union(i, dsu.find(i));
+        if core[i] || in_shard[i] {
+            epoch.union(i, stage.dsu.find(i));
+            sat_bump(&mut stitch_counters.find_ops, 1);
         }
     }
     let cross_edges = cross_edges
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     for &(p, q) in cross_edges.iter() {
-        let (p, q) = (p as usize, q as usize);
-        // Same union/claim rule as phase A, applied to the boundary edges.
-        if core[q]
-            || claimed[q]
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
+        epoch.union(p as usize, q as usize);
+    }
+    stage.settle_borders(|p, q| {
+        if !in_shard[q] {
             epoch.union(p, q);
         }
-    }
-    let mut stitch_counters = WorkCounters::ZERO;
-    let (find_ops, union_ops) = dsu.op_counts();
-    sat_bump(&mut stitch_counters.find_ops, find_ops);
-    sat_bump(&mut stitch_counters.union_ops, union_ops);
+    });
     let (find_ops, union_ops) = epoch.op_counts();
     sat_bump(&mut stitch_counters.find_ops, find_ops);
     sat_bump(&mut stitch_counters.union_ops, union_ops);
@@ -349,24 +355,14 @@ fn form_clusters_stitched(
     }
     counters += stitch_counters;
 
-    let mut labels: Vec<i64> = (0..n)
-        .map(|i| {
-            if core[i] || claimed[i].load(Ordering::Relaxed) {
-                epoch.find(i) as i64
-            } else {
-                NOISE
-            }
-        })
-        .collect();
-    let mut dup_fixups = 0u64;
-    for i in 0..n {
-        let rep = index.representative_of(i as u32) as usize;
-        if rep != i && labels[i] == NOISE && labels[rep] >= 0 {
-            labels[i] = labels[rep];
-            dup_fixups += 1;
+    // Name each cluster by its smallest member, as the flat path's roots
+    // are; the epoch set's roots depend on the cross edges' order.
+    let mut smallest = vec![u32::MAX; n];
+    for i in (0..n).rev() {
+        if core[i] || stage.owner(i).is_some() {
+            smallest[epoch.find(i)] = i as u32;
         }
     }
-    sat_bump(&mut counters.misc_ops, dup_fixups);
-
+    let labels = stage.labels(index, |i| smallest[epoch.find(i)] as usize, &mut counters);
     (labels, counters)
 }

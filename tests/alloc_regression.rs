@@ -6,9 +6,11 @@
 //! **zero** heap allocations — the property the `TraversalScratch` /
 //! `ScratchPool` design exists to provide.  Measurements run on the
 //! sequential dispatch path (the parallel path hands work to scoped
-//! threads, whose spawning allocates by design); a static mutex serialises
-//! the measured sections so concurrently running tests cannot blur each
-//! other's counts.
+//! threads, whose spawning allocates by design).  The allocator counts per
+//! thread and a measurement reads the measuring thread's count, so tests
+//! running concurrently in the same binary cannot blur each other's
+//! counts; any hand-off to another thread would still be counted, because
+//! spawning it allocates on the measuring thread.
 //!
 //! The same file property-tests the CSR output mode: on blobs plus exact
 //! duplicates plus exact-ε boundary pairs, `batch_neighbors_csr` must
@@ -21,6 +23,7 @@ use rtcore::geometry::Point3;
 use rtcore::hardware::WorkCounters;
 use rtcore::index::{CsrNeighbors, IndexKind, NeighborFlow, NeighborIndexBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -30,21 +33,32 @@ use std::sync::Mutex;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls made by this thread.  A `const`-initialised `Cell`
+    /// needs no lazy initialisation or destructor, so touching it from
+    /// inside the allocator never allocates.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` fails only while the thread is being torn down; an
+    // allocation made then belongs to no measurement.
+    let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -68,11 +82,12 @@ fn measure_guard() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Allocation calls performed by `f` (alloc + alloc_zeroed + realloc).
+/// Allocation calls performed by `f` on this thread (alloc + alloc_zeroed
+/// + realloc).
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    let before = ALLOC_CALLS.with(Cell::get);
     f();
-    ALLOC_CALLS.load(Ordering::SeqCst) - before
+    ALLOC_CALLS.with(Cell::get) - before
 }
 
 // ---------------------------------------------------------------------------
