@@ -12,14 +12,14 @@
 //! atomic/mutex operations are yield points, sequentially consistent
 //! semantics).  The assertions therefore hold on *every* interleaving, not
 //! just the ones a stress test happens to hit.  The suite is compiled only
-//! under the `loom-models` feature, which switches `rtcore` and `rtdbscan`
-//! onto the model-aware atomics.
+//! under the `loom-models` feature, which switches `rtdbscan` onto the
+//! model-aware atomics.
 #![cfg(feature = "loom-models")]
 
 use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::{Arc, Mutex};
 use loom::thread;
-use rtcore::hardware::{SharedCounters, WorkCounters};
+use rtcore::hardware::WorkCounters;
 use rtdbscan::disjoint_set::{ConcurrentDisjointSet, EpochDisjointSet};
 
 /// Two threads union disjoint pairs that share an element; every schedule
@@ -145,56 +145,6 @@ fn epoch_dsu_under_mutex_with_reset() {
             !d.same_set(0, 1),
             "the O(1) epoch reset must forget every union"
         );
-    });
-}
-
-/// Two threads folding tallies into one `SharedCounters`: the saturating
-/// CAS merge must clamp at `u64::MAX` (never wrap) in every interleaving,
-/// including the one where both threads read the near-max value first.
-#[test]
-fn shared_counters_cas_merge_saturates() {
-    loom::model(|| {
-        let shared = Arc::new(SharedCounters::new());
-        let spawn_add = |shared: &Arc<SharedCounters>, rays: u64| {
-            let shared = Arc::clone(shared);
-            thread::spawn(move || {
-                let mut local = WorkCounters::ZERO;
-                local.rays = rays;
-                shared.add(&local);
-            })
-        };
-        let a = spawn_add(&shared, u64::MAX - 1);
-        let b = spawn_add(&shared, 5);
-        a.join().unwrap();
-        b.join().unwrap();
-        assert_eq!(
-            shared.snapshot().rays,
-            u64::MAX,
-            "saturating merge must clamp, not wrap"
-        );
-    });
-}
-
-/// With values far from the ceiling the same CAS merge must be *exact* —
-/// no lost updates under any schedule (the classic load/store race the
-/// saturating loop exists to avoid).
-#[test]
-fn shared_counters_cas_merge_is_exact() {
-    loom::model(|| {
-        let shared = Arc::new(SharedCounters::new());
-        let spawn_add = |shared: &Arc<SharedCounters>, n: u64| {
-            let shared = Arc::clone(shared);
-            thread::spawn(move || {
-                let mut local = WorkCounters::ZERO;
-                local.dist_comps = n;
-                shared.add(&local);
-            })
-        };
-        let a = spawn_add(&shared, 3);
-        let b = spawn_add(&shared, 4);
-        a.join().unwrap();
-        b.join().unwrap();
-        assert_eq!(shared.snapshot().dist_comps, 7, "lost update detected");
     });
 }
 

@@ -75,13 +75,7 @@ impl CudaDclustPlus {
         }
         let n = points.len();
         if n == 0 {
-            return Ok(RunResult {
-                clustering: Clustering::new(vec![], vec![]),
-                timings: PhaseTimings::default(),
-                counters: PhaseCounters::default(),
-                path: ExecutionPath::ShaderCore,
-                device_bytes: 0,
-            });
+            return Ok(RunResult::empty(ExecutionPath::ShaderCore));
         }
         let eps = params.eps;
         let mut build_counters = index.build_counters();

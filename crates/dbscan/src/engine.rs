@@ -65,7 +65,6 @@ use rtcore::fault::CancelScope;
 use rtcore::geometry::Point3;
 use rtcore::hardware::{DeviceModel, ExecutionPath, WorkCounters};
 use rtcore::index::{GeometryKind, NeighborIndex, NeighborIndexBuilder, ShardingConfig};
-use rtcore::telemetry::PhaseKind;
 use rtcore::Result;
 use std::time::Duration;
 
@@ -136,6 +135,15 @@ impl Algo {
     /// (the only ones a compacting index is meaningful for).
     fn two_stage(&self) -> bool {
         matches!(self, Algo::Rt | Algo::Fdbscan | Algo::FdbscanEarlyExit)
+    }
+
+    /// The cores the algorithm's work is charged to over `index`: the RT
+    /// cores for RT-DBSCAN on a BVH backend, the shader cores otherwise.
+    fn path(&self, index: &dyn NeighborIndex) -> ExecutionPath {
+        match self {
+            Algo::Rt => RtDbscan::path(index),
+            _ => ExecutionPath::ShaderCore,
+        }
     }
 }
 
@@ -374,10 +382,12 @@ impl ClusterEngineBuilder {
     /// Build a **two-level scene**: the Morton-sorted primitives are cut
     /// into shards of at most `shard_size` points, each shard owns a
     /// bottom-level BVH4 scene built in parallel, and a top-level BVH
-    /// (TLAS) routes every query to the shards it overlaps.  Stage 2 then
-    /// stitches clusters across shard boundaries through the epoch
-    /// union-find, producing the same clustering as the flat scene.
-    /// Wide-batched backend only.
+    /// (TLAS) routes every query to the shards it overlaps.  Both stages
+    /// launch over the two-level scene exactly as over the flat one —
+    /// stage 2 is one flat launch whose core-point queries reach every
+    /// shard they overlap — so clusters spanning shard cuts merge in the
+    /// one union-find and labels equal the flat scene's.  Wide-batched
+    /// backend only.
     ///
     /// ```
     /// use rtdbscan::prelude::*;
@@ -403,7 +413,7 @@ impl ClusterEngineBuilder {
     ///     .unwrap();
     /// let a = sharded.run(&points).unwrap();
     /// let b = flat.run(&points).unwrap();
-    /// assert_eq!(a.clustering.core, b.clustering.core);
+    /// assert_eq!(a.clustering.labels, b.clustering.labels);
     /// ```
     pub fn shard_size(mut self, shard_size: usize) -> Self {
         self.shard_size = Some(shard_size);
@@ -811,11 +821,21 @@ impl ClusterEngine {
     }
 
     fn run_with(&self, points: &[Point3], params: DbscanParams) -> Result<RunResult> {
+        self.build_then(points, params, |index| self.dispatch(index, points, params))
+    }
+
+    /// Validate, build the index over `points`, run `f` on it and charge
+    /// the build time to the result.
+    fn build_then(
+        &self,
+        points: &[Point3],
+        params: DbscanParams,
+        f: impl FnOnce(&dyn NeighborIndex) -> Result<RunResult>,
+    ) -> Result<RunResult> {
         params.validate()?;
         self.check_launch(points.len())?;
         let (index, build_time) = timed(|| self.index.build(points, params.eps));
-        let index = index?;
-        let mut result = self.dispatch(index.as_ref(), points, params)?;
+        let mut result = f(index?.as_ref())?;
         result.timings.build += build_time;
         Ok(result)
     }
@@ -858,96 +878,22 @@ impl ClusterEngine {
     /// Both clustering stages poll `scope` at packet granularity; a trip
     /// surfaces as [`rtcore::Error::DeadlineExceeded`] carrying the work
     /// counted so far, and every partial stage result (counts, union-find
-    /// merges, border owners) is discarded — a cancelled run never returns a wrong
-    /// clustering.  With [`CancelScope::none`] the counted work is
-    /// bit-identical to [`ClusterEngine::run`]'s two-stage formulation.
+    /// merges, border owners) is discarded — a cancelled run never returns
+    /// a wrong clustering.  [`ClusterEngine::run`] of a two-stage [`Algo`]
+    /// is this run with [`CancelScope::none`], so labels, counters,
+    /// execution path and device memory are bit-identical to it.
     ///
     /// Like [`ClusterEngine::session`], this always runs the two-stage
     /// formulation over the engine's backend, whatever [`Algo`] was
     /// configured (stage boundaries are where cancellation composes);
-    /// [`Algo::FdbscanEarlyExit`]'s stage-1 early exit is honoured.
+    /// [`Algo::FdbscanEarlyExit`]'s stage-1 early exit is honoured and the
+    /// work is charged to the configured algorithm's execution path.
     pub fn run_cancellable(&self, points: &[Point3], scope: &CancelScope) -> Result<RunResult> {
-        self.params.validate()?;
-        self.check_launch(points.len())?;
         let params = self.params;
-        let (index, build_time) = timed(|| self.index.build(points, params.eps));
-        let index = index?;
-        let n = points.len();
-        let path = if index.capabilities().rt_core {
-            ExecutionPath::RtCore
-        } else {
-            ExecutionPath::ShaderCore
-        };
-        if n == 0 {
-            return Ok(RunResult {
-                clustering: Clustering::new(vec![], vec![]),
-                timings: PhaseTimings {
-                    build: build_time,
-                    ..PhaseTimings::default()
-                },
-                counters: PhaseCounters::default(),
-                path,
-                device_bytes: 0,
-            });
-        }
-
-        let early = (self.algo == Algo::FdbscanEarlyExit).then_some(params.min_pts);
-        let (stage1, stage1_time) = timed(|| {
-            let span = index.telemetry().map(|t| t.span(PhaseKind::Stage1Launch));
-            let out = stages::count_all_neighbors_cancellable(
-                index.as_ref(),
-                points,
-                params.eps,
-                early,
-                scope,
-            );
-            if let Some(mut s) = span {
-                if let Ok((_, counters)) = &out {
-                    s.add_counters(*counters);
-                }
-            }
-            out
-        });
-        let (counts, stage1_counters) = stage1?;
-        let core: Vec<bool> = counts
-            .iter()
-            .map(|&count| count as usize >= params.min_pts)
-            .collect();
-
-        let (stage2, stage2_time) = timed(|| {
-            let span = index
-                .telemetry()
-                .map(|t| t.span(PhaseKind::Stage2UnionFind));
-            let out =
-                stages::form_clusters_cancellable(index.as_ref(), points, &core, params.eps, scope);
-            if let Some(mut s) = span {
-                if let Ok((_, counters)) = &out {
-                    s.add_counters(*counters);
-                }
-            }
-            out
-        });
-        let (labels, stage2_counters) = stage2?;
-
-        let device_bytes = index.device_bytes()
-            + std::mem::size_of_val(points) as u64
-            + (n * std::mem::size_of::<usize>()) as u64 // union-find parents
-            + 5 * n as u64; // core flags + border owners (u32)
-
-        Ok(RunResult {
-            clustering: Clustering::new(labels, core),
-            timings: PhaseTimings {
-                build: build_time,
-                core_identification: stage1_time,
-                cluster_formation: stage2_time,
-            },
-            counters: PhaseCounters {
-                build: index.build_counters(),
-                core_identification: stage1_counters,
-                cluster_formation: stage2_counters,
-            },
-            path,
-            device_bytes,
+        let early_exit = self.algo == Algo::FdbscanEarlyExit;
+        self.build_then(points, params, |index| {
+            let path = self.algo.path(index);
+            stages::two_stage(index, points, params, early_exit, path, scope)
         })
     }
 
@@ -957,16 +903,14 @@ impl ClusterEngine {
     ///
     /// The session always uses the two-stage formulation (stage-1 counts
     /// are exactly what it caches), whatever [`Algo`] the engine was built
-    /// with — the backend is still this engine's backend.
+    /// with — the backend is still this engine's backend, and the work is
+    /// charged to the configured algorithm's execution path.
     pub fn session(&self, points: &[Point3]) -> Result<ClusterSession> {
         self.check_launch(points.len())?;
         let (index, build_time) = timed(|| self.index.build(points, self.params.eps));
-        Ok(ClusterSession::create(
-            index?,
-            points,
-            self.params.eps,
-            build_time,
-        ))
+        let index = index?;
+        let path = self.algo.path(index.as_ref());
+        ClusterSession::create(index, points, self.params.eps, build_time, path)
     }
 }
 
@@ -1024,21 +968,13 @@ impl ClusterSession {
         points: &[Point3],
         eps: f32,
         build_time: Duration,
-    ) -> Self {
-        let path = if index.capabilities().rt_core {
-            ExecutionPath::RtCore
-        } else {
-            ExecutionPath::ShaderCore
-        };
-        let ((neighbor_counts, stage1_counters), stage1_time) = timed(|| {
-            let span = index.telemetry().map(|t| t.span(PhaseKind::Stage1Launch));
-            let out = stages::count_all_neighbors(index.as_ref(), points, eps, None);
-            if let Some(mut s) = span {
-                s.add_counters(out.1);
-            }
-            out
+        path: ExecutionPath,
+    ) -> Result<Self> {
+        let (stage1, stage1_time) = timed(|| {
+            stages::count_all_neighbors(index.as_ref(), points, eps, None, &CancelScope::none())
         });
-        ClusterSession {
+        let (neighbor_counts, stage1_counters) = stage1?;
+        Ok(ClusterSession {
             points: points.to_vec(),
             eps,
             build_counters: index.build_counters(),
@@ -1048,7 +984,7 @@ impl ClusterSession {
             stage1_counters,
             build_time,
             stage1_time,
-        }
+        })
     }
 
     /// The search radius this session was built for.
@@ -1105,49 +1041,27 @@ impl ClusterSession {
     /// all calls on this session).
     pub fn cluster(&self, min_pts: usize) -> Result<RunResult> {
         DbscanParams::new(self.eps, min_pts)?;
-        let n = self.points.len();
-        if n == 0 {
-            return Ok(RunResult {
-                clustering: Clustering::new(vec![], vec![]),
-                timings: PhaseTimings::default(),
-                counters: PhaseCounters::default(),
-                path: self.path,
-                device_bytes: 0,
-            });
+        if self.points.is_empty() {
+            return Ok(RunResult::empty(self.path));
         }
-        let core: Vec<bool> = self
-            .neighbor_counts
-            .iter()
-            .map(|&c| c as usize >= min_pts)
-            .collect();
-        let ((labels, stage2_counters), stage2_time) = timed(|| {
-            let span = self
-                .index
-                .telemetry()
-                .map(|t| t.span(PhaseKind::Stage2UnionFind));
-            let out = stages::form_clusters(self.index.as_ref(), &self.points, &core, self.eps);
-            if let Some(mut s) = span {
-                s.add_counters(out.1);
-            }
-            out
+        let core = stages::core_flags(&self.neighbor_counts, min_pts);
+        let index = self.index.as_ref();
+        let (stage2, stage2_time) = timed(|| {
+            stages::form_clusters(index, &self.points, &core, self.eps, &CancelScope::none())
         });
-
+        let (labels, stage2_counters) = stage2?;
         Ok(RunResult {
             clustering: Clustering::new(labels, core),
             timings: PhaseTimings {
-                build: Duration::ZERO,
-                core_identification: Duration::ZERO,
                 cluster_formation: stage2_time,
+                ..PhaseTimings::default()
             },
             counters: PhaseCounters {
-                build: WorkCounters::ZERO,
-                core_identification: WorkCounters::ZERO,
                 cluster_formation: stage2_counters,
+                ..PhaseCounters::default()
             },
             path: self.path,
-            device_bytes: self.index.device_bytes()
-                + (n * std::mem::size_of::<Point3>()) as u64
-                + 8 * n as u64,
+            device_bytes: stages::device_bytes(index, &self.points),
         })
     }
 
@@ -1400,10 +1314,13 @@ mod tests {
             .build()
             .unwrap();
         let session = engine.session(&pts).unwrap();
+        let run_bytes = engine.run(&pts).unwrap().device_bytes;
         for min_pts in [2usize, 5, 40] {
             let params = DbscanParams::new(0.5, min_pts).unwrap();
             let one_shot = RtDbscan::default().run(&pts, params).unwrap().clustering;
-            let reused = session.cluster(min_pts).unwrap().clustering;
+            let reused = session.cluster(min_pts).unwrap();
+            assert_eq!(reused.device_bytes, run_bytes, "minPts={min_pts}");
+            let reused = reused.clustering;
             assert_eq!(one_shot.core, reused.core, "minPts={min_pts}");
             assert!(same_clustering(&one_shot, &reused, &pts, params));
         }
@@ -1488,6 +1405,12 @@ mod tests {
             f.counters.core_identification.dist_comps, s.counters.core_identification.dist_comps,
             "aligned shards must charge the flat path's candidate work"
         );
+        // Stage 2 is one flat launch over either scene: the same candidates
+        // and the same union-find links.
+        let (f2, s2) = (f.counters.cluster_formation, s.counters.cluster_formation);
+        assert_eq!(f2.dist_comps, s2.dist_comps);
+        assert_eq!(f2.prim_tests, s2.prim_tests);
+        assert_eq!(f2.union_ops, s2.union_ops);
         assert_eq!(f.counters.total().tlas_node_visits, 0);
         assert!(s.counters.total().tlas_node_visits > 0);
         assert!(s.counters.total().blas_launches > 0);
@@ -1507,7 +1430,7 @@ mod tests {
         let run = session.cluster(5).unwrap();
         assert!(run.counters.cluster_formation.tlas_node_visits > 0);
         let trace = session.index().telemetry().unwrap().chrome_trace_json();
-        for phase in ["tlas_build", "tlas_visit", "shard_stitch"] {
+        for phase in ["tlas_build", "tlas_visit"] {
             assert!(trace.contains(phase), "missing {phase} span in {trace}");
         }
     }
@@ -1539,107 +1462,57 @@ mod tests {
     fn run_cancellable_with_no_scope_matches_run_exactly() {
         let pts = blobs();
         let params = DbscanParams::new(0.5, 5).unwrap();
-        // Flat and sharded backends: the none-scope cancellable path must be
-        // bit-identical to the plain two-stage run (counters included — this
-        // is the "deadline checks are free when unset" contract).  Each runs
+        // Every two-stage algorithm over a flat and a sharded scene, each
         // with a sequential stage-2 launch (fewer core queries than the
-        // threshold) and a parallel one.
+        // threshold) and a parallel one: the none-scope cancellable run
+        // must be bit-identical to the plain run (this is the "deadline
+        // checks are free when unset" contract).
         let mut labels = Vec::new();
-        for sharded in [false, true] {
-            for min_parallel_launch in [pts.len(), 1] {
-                let mut build = ClusterEngine::builder()
-                    .params(params)
-                    .min_parallel_launch(min_parallel_launch);
-                if sharded {
-                    build = build.shard_size(48);
+        for algo in [Algo::Rt, Algo::Fdbscan, Algo::FdbscanEarlyExit] {
+            for sharded in [false, true] {
+                for min_parallel_launch in [pts.len(), 1] {
+                    let mut build = ClusterEngine::builder()
+                        .algorithm(algo)
+                        .params(params)
+                        .min_parallel_launch(min_parallel_launch);
+                    if sharded {
+                        build = build.index(IndexKind::WideBatched).shard_size(48);
+                    }
+                    let engine = build.build().unwrap();
+                    labels.push(assert_cancellable_matches_run(&engine, &pts));
                 }
-                let engine = build.build().unwrap();
-                labels.push(assert_cancellable_matches_run(&engine, &pts, params));
             }
         }
-        // Flat-shaped stage 2 gives bit-identical labels over either
+        // One stage-2 rule: bit-identical labels over every algorithm,
         // backend and launch shape.
         assert!(labels.iter().all(|l| *l == labels[0]));
     }
 
     /// Assert the none-scope cancellable run equals the plain run, and that
     /// stage 2's union-find tallies, charged to the launch's per-packet
-    /// counters, survive the merge: a flat-shaped stage 2 links each
-    /// assigned point into its cluster exactly once, so
-    /// `union_ops == (core + border) - clusters`.  Returns the cancellable
-    /// run's labels.
-    fn assert_cancellable_matches_run(
-        engine: &ClusterEngine,
-        pts: &[Point3],
-        params: DbscanParams,
-    ) -> Vec<i64> {
+    /// counters, survive the merge: stage 2 links each assigned point into
+    /// its cluster exactly once, so `union_ops == (core + border) -
+    /// clusters`.  Returns the run's labels.
+    fn assert_cancellable_matches_run(engine: &ClusterEngine, pts: &[Point3]) -> Vec<i64> {
         use rtcore::fault::CancelScope;
+        let what = format!("{:?} {:?}", engine.algo(), engine.index_config().sharding);
         let links = |c: &Clustering| (c.labels.len() - c.noise_count() - c.num_clusters()) as u64;
         let plain = engine.run(pts).unwrap();
         let cancellable = engine.run_cancellable(pts, &CancelScope::none()).unwrap();
-        assert_eq!(plain.clustering.core, cancellable.clustering.core);
-        assert!(same_clustering(
-            &plain.clustering,
-            &cancellable.clustering,
-            pts,
-            params
-        ));
         assert_eq!(
-            plain.counters.core_identification,
-            cancellable.counters.core_identification
+            plain.clustering.labels, cancellable.clustering.labels,
+            "{what}"
         );
-        // The cancellable launch is flat-shaped over every backend.
+        assert_eq!(plain.clustering.core, cancellable.clustering.core, "{what}");
+        assert_eq!(plain.counters, cancellable.counters, "{what}");
+        assert_eq!(plain.path, cancellable.path, "{what}");
+        assert_eq!(plain.device_bytes, cancellable.device_bytes, "{what}");
         assert_eq!(
-            cancellable.counters.cluster_formation.union_ops,
-            links(&cancellable.clustering)
+            plain.counters.cluster_formation.union_ops,
+            links(&plain.clustering),
+            "{what}"
         );
-        if engine.index_config().sharding.is_none() {
-            // The sharded uncancellable path runs the stitched (two
-            // launch) shape, which counts work differently; flat paths
-            // must match bit for bit.
-            assert_eq!(
-                plain.counters.cluster_formation,
-                cancellable.counters.cluster_formation
-            );
-            assert_eq!(plain.clustering.labels, cancellable.clustering.labels);
-        }
-        cancellable.clustering.labels
-    }
-
-    #[test]
-    fn shard_stitch_span_carries_only_the_epoch_set_traffic() {
-        let pts = blobs();
-        let engine = ClusterEngine::builder()
-            .eps(0.5)
-            .min_pts(5)
-            .shard_size(48)
-            .telemetry(TelemetryConfig::Spans)
-            .build()
-            .unwrap();
-        let session = engine.session(&pts).unwrap();
-        let run = session.cluster(5).unwrap();
-        let stage2 = run.counters.cluster_formation;
-        let spans = session.index().telemetry().unwrap().spans();
-        let sum = |phase| {
-            spans
-                .iter()
-                .filter(|s| s.phase == phase)
-                .fold(WorkCounters::ZERO, |acc, s| acc + s.counters)
-        };
-        let stitch = sum(PhaseKind::ShardStitch);
-        // The epoch set imports the intra-shard partition and merges the
-        // boundary edges, ending at the final clusters: one link per
-        // assigned point beyond the first of each cluster.
-        let c = &run.clustering;
-        let epoch_merges = (c.labels.len() - c.noise_count() - c.num_clusters()) as u64;
-        assert_eq!(stitch.union_ops, epoch_merges);
-        // The intra-shard union-find traffic rode the phase-A launch (the
-        // stage-1 count launch charges none); borders that phase A reached
-        // join the intra-shard partition between the two spans.
-        let launches = sum(PhaseKind::TlasVisit);
-        assert!(launches.union_ops > 0, "phase A merged nothing");
-        assert!(launches.union_ops + stitch.union_ops <= stage2.union_ops);
-        assert!(launches.find_ops + stitch.find_ops <= stage2.find_ops);
+        plain.clustering.labels
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!   neighbours have been seen (the `early_exit` switch studied in
 //!   Section VI-B / Fig 9).
 
-use crate::labels::Clustering;
 use crate::params::DbscanParams;
-use crate::runner::{timed, DbscanAlgorithm, PhaseCounters, PhaseTimings, RunResult};
+use crate::runner::{timed, DbscanAlgorithm, RunResult};
 use crate::stages;
 use rtcore::bvh::BuilderKind;
+use rtcore::fault::CancelScope;
 use rtcore::geometry::Point3;
 use rtcore::hardware::ExecutionPath;
 use rtcore::index::{IndexKind, NeighborIndex, NeighborIndexBuilder};
@@ -73,56 +73,21 @@ impl Fdbscan {
 
     /// Run both stages over an already-built neighbour index (build phase
     /// reported with the index's counters and zero wall-clock time — the
-    /// caller owns the build timing).
+    /// caller owns the build timing), charged to the shader cores.
     pub fn run_on(
         &self,
         index: &dyn NeighborIndex,
         points: &[Point3],
         params: DbscanParams,
     ) -> Result<RunResult> {
-        params.validate()?;
-        let n = points.len();
-        if n == 0 {
-            return Ok(empty_result());
-        }
-
-        // ------------------------------------------------------------------
-        // Stage 1: core-point identification (optionally early-exiting).
-        // ------------------------------------------------------------------
-        let early = self.early_exit.then_some(params.min_pts);
-        let ((counts, stage1_counters), stage1_time) =
-            timed(|| stages::count_all_neighbors(index, points, params.eps, early));
-        let core: Vec<bool> = counts
-            .iter()
-            .map(|&c| c as usize >= params.min_pts)
-            .collect();
-
-        // ------------------------------------------------------------------
-        // Stage 2: cluster formation with a parallel Union-Find.
-        // ------------------------------------------------------------------
-        let ((labels, stage2_counters), stage2_time) =
-            timed(|| stages::form_clusters(index, points, &core, params.eps));
-
-        let device_bytes = index.device_bytes()
-            + std::mem::size_of_val(points) as u64
-            + (n * std::mem::size_of::<usize>()) as u64 // union-find parents
-            + 5 * n as u64; // core flags + border owners (u32)
-
-        Ok(RunResult {
-            clustering: Clustering::new(labels, core),
-            timings: PhaseTimings {
-                build: std::time::Duration::ZERO,
-                core_identification: stage1_time,
-                cluster_formation: stage2_time,
-            },
-            counters: PhaseCounters {
-                build: index.build_counters(),
-                core_identification: stage1_counters,
-                cluster_formation: stage2_counters,
-            },
-            path: ExecutionPath::ShaderCore,
-            device_bytes,
-        })
+        stages::two_stage(
+            index,
+            points,
+            params,
+            self.early_exit,
+            ExecutionPath::ShaderCore,
+            &CancelScope::none(),
+        )
     }
 }
 
@@ -141,16 +106,6 @@ impl DbscanAlgorithm for Fdbscan {
         let mut result = self.run_on(index?.as_ref(), points, params)?;
         result.timings.build += build_time;
         Ok(result)
-    }
-}
-
-fn empty_result() -> RunResult {
-    RunResult {
-        clustering: Clustering::new(vec![], vec![]),
-        timings: PhaseTimings::default(),
-        counters: PhaseCounters::default(),
-        path: ExecutionPath::ShaderCore,
-        device_bytes: 0,
     }
 }
 

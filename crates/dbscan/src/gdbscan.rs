@@ -68,13 +68,7 @@ impl GDbscan {
         }
         let n = points.len();
         if n == 0 {
-            return Ok(RunResult {
-                clustering: Clustering::new(vec![], vec![]),
-                timings: PhaseTimings::default(),
-                counters: PhaseCounters::default(),
-                path: ExecutionPath::ShaderCore,
-                device_bytes: 0,
-            });
+            return Ok(RunResult::empty(ExecutionPath::ShaderCore));
         }
         let eps = params.eps;
 

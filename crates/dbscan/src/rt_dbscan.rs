@@ -27,15 +27,14 @@
 //! (one `dist_comps` per Intersection-program invocation, AnyHit bounces for
 //! the triangle ablation) lives in the backend.
 
-use crate::labels::Clustering;
 use crate::params::DbscanParams;
-use crate::runner::{timed, DbscanAlgorithm, PhaseCounters, PhaseTimings, RunResult};
+use crate::runner::{timed, DbscanAlgorithm, RunResult};
 use crate::stages;
 use rtcore::bvh::BuilderKind;
+use rtcore::fault::CancelScope;
 use rtcore::geometry::Point3;
 use rtcore::hardware::ExecutionPath;
 use rtcore::index::{GeometryKind, IndexKind, NeighborIndex, NeighborIndexBuilder};
-use rtcore::telemetry::PhaseKind;
 use rtcore::traversal::TraversalEngine;
 use rtcore::Result;
 
@@ -136,73 +135,23 @@ impl RtDbscan {
         points: &[Point3],
         params: DbscanParams,
     ) -> Result<RunResult> {
-        params.validate()?;
-        let n = points.len();
-        let path = if index.capabilities().rt_core {
+        stages::two_stage(
+            index,
+            points,
+            params,
+            false,
+            Self::path(index),
+            &CancelScope::none(),
+        )
+    }
+
+    /// The cores RT-DBSCAN's traversal runs on over `index`.
+    pub(crate) fn path(index: &dyn NeighborIndex) -> ExecutionPath {
+        if index.capabilities().rt_core {
             ExecutionPath::RtCore
         } else {
             ExecutionPath::ShaderCore
-        };
-        if n == 0 {
-            return Ok(RunResult {
-                clustering: Clustering::new(vec![], vec![]),
-                timings: PhaseTimings::default(),
-                counters: PhaseCounters::default(),
-                path,
-                device_bytes: 0,
-            });
         }
-
-        // ------------------------------------------------------------------
-        // Stage 1: one query per point, count neighbours, mark core points.
-        // ------------------------------------------------------------------
-        let ((counts, stage1_counters), stage1_time) = timed(|| {
-            let span = index.telemetry().map(|t| t.span(PhaseKind::Stage1Launch));
-            let out = stages::count_all_neighbors(index, points, params.eps, None);
-            if let Some(mut s) = span {
-                s.add_counters(out.1);
-            }
-            out
-        });
-        let core: Vec<bool> = counts
-            .iter()
-            .map(|&count| count as usize >= params.min_pts)
-            .collect();
-
-        // ------------------------------------------------------------------
-        // Stage 2: one query per core point, union-find cluster formation.
-        // ------------------------------------------------------------------
-        let ((labels, stage2_counters), stage2_time) = timed(|| {
-            let span = index
-                .telemetry()
-                .map(|t| t.span(PhaseKind::Stage2UnionFind));
-            let out = stages::form_clusters(index, points, &core, params.eps);
-            if let Some(mut s) = span {
-                s.add_counters(out.1);
-            }
-            out
-        });
-
-        let device_bytes = index.device_bytes()
-            + std::mem::size_of_val(points) as u64
-            + (n * std::mem::size_of::<usize>()) as u64 // union-find parents
-            + 5 * n as u64; // core flags + border owners (u32)
-
-        Ok(RunResult {
-            clustering: Clustering::new(labels, core),
-            timings: PhaseTimings {
-                build: std::time::Duration::ZERO,
-                core_identification: stage1_time,
-                cluster_formation: stage2_time,
-            },
-            counters: PhaseCounters {
-                build: index.build_counters(),
-                core_identification: stage1_counters,
-                cluster_formation: stage2_counters,
-            },
-            path,
-            device_bytes,
-        })
     }
 }
 

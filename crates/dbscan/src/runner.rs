@@ -108,6 +108,18 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// The result of clustering no points on `path`: nothing timed,
+    /// counted or allocated.
+    pub(crate) fn empty(path: ExecutionPath) -> RunResult {
+        RunResult {
+            clustering: Clustering::new(vec![], vec![]),
+            timings: PhaseTimings::default(),
+            counters: PhaseCounters::default(),
+            path,
+            device_bytes: 0,
+        }
+    }
+
     /// Convert the per-phase counters into simulated device time on `device`.
     ///
     /// Build counters are charged with the build-side costs and the two

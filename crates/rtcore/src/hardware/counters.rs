@@ -1,27 +1,16 @@
 //! Work counters.
 //!
-//! Two flavours are provided:
+//! [`WorkCounters`] is a plain value type.  Traversals return one per query
+//! or packet and callers fold them at the join; this keeps the hot path free
+//! of shared atomics.
 //!
-//! * [`WorkCounters`] — a plain value type.  Traversals return one per query
-//!   and callers fold them; this keeps the hot path free of atomics, which is
-//!   the pattern the hpc guides recommend for rayon reductions.
-//! * [`SharedCounters`] — an atomic accumulator for contexts where a shared
-//!   sink is more convenient than folding per-task values.
-//!
-//! All accumulation (the `+`/`+=` impls, the aggregate helpers and the
-//! [`SharedCounters`] merges) uses **saturating** arithmetic: a long-running
-//! streaming deployment folds counters for days, and a silent wrap in a
-//! release build would corrupt every downstream cost-model read.  Clamping at
-//! `u64::MAX` is both detectable and harmless.
+//! All accumulation (the `+`/`+=` impls, [`sat_bump`] and the aggregate
+//! helpers) uses **saturating** arithmetic: a long-running streaming
+//! deployment folds counters for days, and a silent wrap in a release build
+//! would corrupt every downstream cost-model read.  Clamping at `u64::MAX`
+//! is both detectable and harmless.
 
 use std::ops::{Add, AddAssign, Sub};
-// Under the `loom` feature the counter atomics become model-aware so the
-// interleaving checker can drive `SharedCounters` through every schedule;
-// production builds use the std atomics unchanged.
-#[cfg(feature = "loom")]
-use loom::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(feature = "loom"))]
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-operation work counts accumulated while building and traversing
 /// scenes or while running a clustering algorithm.
@@ -309,158 +298,6 @@ impl std::iter::Sum for WorkCounters {
     }
 }
 
-/// Saturating atomic add: CAS loop that clamps at `u64::MAX` instead of
-/// wrapping.  Relaxed ordering is fine — counters carry no synchronisation
-/// meaning (see [`SharedCounters::add`]).
-fn saturating_fetch_add(cell: &AtomicU64, value: u64) {
-    if value == 0 {
-        return;
-    }
-    // ordering: Relaxed everywhere — each cell is an independent tally with
-    // no payload guarded by it; the CAS only needs atomicity of the single
-    // cell, and readers synchronise through the thread join, not the cell.
-    let mut current = cell.load(Ordering::Relaxed);
-    loop {
-        let next = current.saturating_add(value);
-        match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(observed) => current = observed,
-        }
-    }
-}
-
-/// Atomic counter sink for parallel accumulation.
-///
-/// Field meanings match [`WorkCounters`]; use [`SharedCounters::add`] to fold
-/// a per-thread [`WorkCounters`] in and [`SharedCounters::snapshot`] to read
-/// the totals back out.
-#[derive(Debug, Default)]
-pub struct SharedCounters {
-    rays: AtomicU64,
-    node_visits: AtomicU64,
-    wide_node_visits: AtomicU64,
-    batched_launches: AtomicU64,
-    tlas_node_visits: AtomicU64,
-    blas_launches: AtomicU64,
-    aabb_tests: AtomicU64,
-    prim_tests: AtomicU64,
-    anyhit_invocations: AtomicU64,
-    dist_comps: AtomicU64,
-    build_prims: AtomicU64,
-    build_sort_ops: AtomicU64,
-    build_node_ops: AtomicU64,
-    build_chunk_merges: AtomicU64,
-    build_splice_ops: AtomicU64,
-    compaction_merges: AtomicU64,
-    union_ops: AtomicU64,
-    find_ops: AtomicU64,
-    list_ops: AtomicU64,
-    misc_ops: AtomicU64,
-    refit_node_ops: AtomicU64,
-    refits: AtomicU64,
-    rebuilds: AtomicU64,
-}
-
-impl SharedCounters {
-    /// Create a zeroed accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold a per-thread counter set into the shared totals, saturating at
-    /// `u64::MAX`.
-    ///
-    /// Relaxed ordering is sufficient: the counters carry no synchronisation
-    /// meaning, they are only summed after the parallel region joins.
-    pub fn add(&self, c: &WorkCounters) {
-        saturating_fetch_add(&self.rays, c.rays);
-        saturating_fetch_add(&self.node_visits, c.node_visits);
-        saturating_fetch_add(&self.wide_node_visits, c.wide_node_visits);
-        saturating_fetch_add(&self.batched_launches, c.batched_launches);
-        saturating_fetch_add(&self.tlas_node_visits, c.tlas_node_visits);
-        saturating_fetch_add(&self.blas_launches, c.blas_launches);
-        saturating_fetch_add(&self.aabb_tests, c.aabb_tests);
-        saturating_fetch_add(&self.prim_tests, c.prim_tests);
-        saturating_fetch_add(&self.anyhit_invocations, c.anyhit_invocations);
-        saturating_fetch_add(&self.dist_comps, c.dist_comps);
-        saturating_fetch_add(&self.build_prims, c.build_prims);
-        saturating_fetch_add(&self.build_sort_ops, c.build_sort_ops);
-        saturating_fetch_add(&self.build_node_ops, c.build_node_ops);
-        saturating_fetch_add(&self.build_chunk_merges, c.build_chunk_merges);
-        saturating_fetch_add(&self.build_splice_ops, c.build_splice_ops);
-        saturating_fetch_add(&self.compaction_merges, c.compaction_merges);
-        saturating_fetch_add(&self.union_ops, c.union_ops);
-        saturating_fetch_add(&self.find_ops, c.find_ops);
-        saturating_fetch_add(&self.list_ops, c.list_ops);
-        saturating_fetch_add(&self.misc_ops, c.misc_ops);
-        saturating_fetch_add(&self.refit_node_ops, c.refit_node_ops);
-        saturating_fetch_add(&self.refits, c.refits);
-        saturating_fetch_add(&self.rebuilds, c.rebuilds);
-    }
-
-    /// Read the accumulated totals.
-    // ordering: Relaxed loads — callers snapshot after the parallel region
-    // has joined (the join is the happens-before edge); a mid-run snapshot
-    // is a monitoring read where per-cell tearing is acceptable by contract.
-    pub fn snapshot(&self) -> WorkCounters {
-        WorkCounters {
-            rays: self.rays.load(Ordering::Relaxed),
-            node_visits: self.node_visits.load(Ordering::Relaxed),
-            wide_node_visits: self.wide_node_visits.load(Ordering::Relaxed),
-            batched_launches: self.batched_launches.load(Ordering::Relaxed),
-            tlas_node_visits: self.tlas_node_visits.load(Ordering::Relaxed),
-            blas_launches: self.blas_launches.load(Ordering::Relaxed),
-            aabb_tests: self.aabb_tests.load(Ordering::Relaxed),
-            prim_tests: self.prim_tests.load(Ordering::Relaxed),
-            anyhit_invocations: self.anyhit_invocations.load(Ordering::Relaxed),
-            dist_comps: self.dist_comps.load(Ordering::Relaxed),
-            build_prims: self.build_prims.load(Ordering::Relaxed),
-            build_sort_ops: self.build_sort_ops.load(Ordering::Relaxed),
-            build_node_ops: self.build_node_ops.load(Ordering::Relaxed),
-            build_chunk_merges: self.build_chunk_merges.load(Ordering::Relaxed),
-            build_splice_ops: self.build_splice_ops.load(Ordering::Relaxed),
-            compaction_merges: self.compaction_merges.load(Ordering::Relaxed),
-            union_ops: self.union_ops.load(Ordering::Relaxed),
-            find_ops: self.find_ops.load(Ordering::Relaxed),
-            list_ops: self.list_ops.load(Ordering::Relaxed),
-            misc_ops: self.misc_ops.load(Ordering::Relaxed),
-            refit_node_ops: self.refit_node_ops.load(Ordering::Relaxed),
-            refits: self.refits.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset every counter to zero.
-    // ordering: Relaxed stores — reset happens between measurement phases
-    // when no concurrent writers exist; the phase boundary (join/spawn)
-    // publishes the zeroes.
-    pub fn reset(&self) {
-        self.rays.store(0, Ordering::Relaxed);
-        self.node_visits.store(0, Ordering::Relaxed);
-        self.wide_node_visits.store(0, Ordering::Relaxed);
-        self.batched_launches.store(0, Ordering::Relaxed);
-        self.tlas_node_visits.store(0, Ordering::Relaxed);
-        self.blas_launches.store(0, Ordering::Relaxed);
-        self.aabb_tests.store(0, Ordering::Relaxed);
-        self.prim_tests.store(0, Ordering::Relaxed);
-        self.anyhit_invocations.store(0, Ordering::Relaxed);
-        self.dist_comps.store(0, Ordering::Relaxed);
-        self.build_prims.store(0, Ordering::Relaxed);
-        self.build_sort_ops.store(0, Ordering::Relaxed);
-        self.build_node_ops.store(0, Ordering::Relaxed);
-        self.build_chunk_merges.store(0, Ordering::Relaxed);
-        self.build_splice_ops.store(0, Ordering::Relaxed);
-        self.compaction_merges.store(0, Ordering::Relaxed);
-        self.union_ops.store(0, Ordering::Relaxed);
-        self.find_ops.store(0, Ordering::Relaxed);
-        self.list_ops.store(0, Ordering::Relaxed);
-        self.misc_ops.store(0, Ordering::Relaxed);
-        self.refit_node_ops.store(0, Ordering::Relaxed);
-        self.refits.store(0, Ordering::Relaxed);
-        self.rebuilds.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,55 +393,5 @@ mod tests {
         };
         assert_eq!(c.traversal_ops(), u64::MAX);
         assert_eq!(c.total_ops(), u64::MAX);
-    }
-
-    #[test]
-    fn shared_counters_accumulate_and_reset() {
-        let shared = SharedCounters::new();
-        shared.add(&sample());
-        shared.add(&sample());
-        let snap = shared.snapshot();
-        assert_eq!(snap.rays, 2);
-        assert_eq!(snap.union_ops, 20);
-        assert_eq!(snap.wide_node_visits, 36);
-        shared.reset();
-        assert_eq!(shared.snapshot(), WorkCounters::ZERO);
-    }
-
-    #[test]
-    fn shared_counters_saturate() {
-        let shared = SharedCounters::new();
-        shared.add(&WorkCounters {
-            rays: u64::MAX - 5,
-            ..WorkCounters::ZERO
-        });
-        shared.add(&WorkCounters {
-            rays: 100,
-            ..WorkCounters::ZERO
-        });
-        assert_eq!(shared.snapshot().rays, u64::MAX);
-    }
-
-    #[test]
-    fn shared_counters_parallel_accumulation() {
-        use std::sync::Arc;
-        let shared = Arc::new(SharedCounters::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let s = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        s.add(&WorkCounters {
-                            rays: 1,
-                            ..WorkCounters::ZERO
-                        });
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(shared.snapshot().rays, 8000);
     }
 }

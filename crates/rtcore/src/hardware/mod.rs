@@ -25,7 +25,7 @@ mod counters;
 mod device;
 mod memory;
 
-pub use counters::{sat_bump, SharedCounters, WorkCounters};
+pub use counters::{sat_bump, WorkCounters};
 pub use device::{CostProfile, DeviceModel, ExecutionPath, SimulatedDuration};
 pub use memory::MemoryTracker;
 

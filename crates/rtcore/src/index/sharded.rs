@@ -184,17 +184,6 @@ struct ShardScratch {
     counts: Vec<AtomicU64>,
 }
 
-/// Which shards a stitched stage-2 launch targets per query (see
-/// [`ShardedIndex::batch_neighbors_stitched`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardSelect {
-    /// Only the query's owning shard — the intra-shard clustering pass.
-    Owner,
-    /// Every overlapping shard *except* the owner — the cross-shard
-    /// boundary pass whose edges the stitcher merges.
-    CrossOnly,
-}
-
 /// Two-level neighbour-search backend: a TLAS over Morton-range shards,
 /// each owning a bottom-level wide (BVH4) scene answered by the
 /// wavefront packet engine.
@@ -747,31 +736,23 @@ impl ShardedIndex {
     }
 
     /// TLAS-descend every ray of one packet and lay out the per-shard
-    /// sub-launch plan in `scratch.pairs` (sorted by shard, packet order
-    /// within a shard).  `filter(caller ordinal, shard)` prunes shards per
-    /// query — the stitched stage-2 passes select owner-only or cross-only
-    /// launches through it.
-    #[allow(clippy::too_many_arguments)]
+    /// sub-launch plan in `pairs` (sorted by shard, packet order within a
+    /// shard).
     fn plan_packet(
         tlas: &Tlas,
         shards: &[ShardSlot],
-        ordered: &[Point3],
-        perm: Option<&[u32]>,
-        start: usize,
-        len: usize,
+        packet: &[Point3],
         overlaps: &mut Vec<u32>,
         pairs: &mut Vec<(u32, u32)>,
         counters: &mut WorkCounters,
-        filter: &(impl Fn(usize, u32) -> bool + ?Sized),
     ) {
         pairs.clear();
-        for pos in 0..len {
-            let ray = Ray::epsilon_ray(ordered[start + pos]);
+        for (pos, &query) in packet.iter().enumerate() {
+            let ray = Ray::epsilon_ray(query);
             overlaps.clear();
             tlas.overlapping(&ray, counters, overlaps);
-            let global = caller_ordinal(perm, start + pos);
             for &s in overlaps.iter() {
-                if shards[s as usize].answers() && filter(global, s) {
+                if shards[s as usize].answers() {
                     pairs.push((s, pos as u32));
                 }
             }
@@ -856,7 +837,6 @@ impl ShardedIndex {
         len: usize,
         eps: f32,
         sink: &NeighborSink<'_>,
-        filter: &(impl Fn(usize, u32) -> bool + ?Sized),
         cancel: Option<&CancelScope>,
     ) -> WorkCounters {
         let mut local = WorkCounters::ZERO;
@@ -875,14 +855,10 @@ impl ShardedIndex {
         Self::plan_packet(
             &self.tlas,
             &self.shards,
-            ordered,
-            perm,
-            start,
-            len,
+            &ordered[start..start + len],
             overlaps,
             pairs,
             &mut local,
-            filter,
         );
         let mut i = 0;
         while i < pairs.len() {
@@ -959,14 +935,10 @@ impl ShardedIndex {
         Self::plan_packet(
             &self.tlas,
             &self.shards,
-            ordered,
-            perm,
-            start,
-            len,
+            &ordered[start..start + len],
             overlaps,
             pairs,
             &mut local,
-            &|_, _| true,
         );
         cells.clear();
         cells.resize_with(len, AtomicU64::default);
@@ -1051,7 +1023,6 @@ impl ShardedIndex {
         queries: &[Point3],
         eps: f32,
         sink: &NeighborSink<'_>,
-        filter: &(dyn Fn(usize, u32) -> bool + Sync),
         cancel: Option<&CancelScope>,
     ) -> WorkCounters {
         debug_assert!(eps <= self.eps, "query radius exceeds the build radius");
@@ -1070,7 +1041,7 @@ impl ShardedIndex {
             |packet| {
                 let start = packet * self.batch_size;
                 let len = self.batch_size.min(queries.len() - start);
-                self.trace_packet_sharded(ordered, perm, start, len, eps, sink, filter, cancel)
+                self.trace_packet_sharded(ordered, perm, start, len, eps, sink, cancel)
             },
         );
         total += setup;
@@ -1079,33 +1050,6 @@ impl ShardedIndex {
         self.record_launch_metrics(queries.len(), start_ns, &total);
         self.record(&total);
         total
-    }
-
-    /// Stage-2 stitching entry: launch each query against the shards
-    /// [`ShardSelect`] picks relative to its owning shard.  `owners[i]` is
-    /// the owning shard of `queries[i]` (from [`ShardedIndex::owner_shard`]).
-    /// The union of an [`ShardSelect::Owner`] and a
-    /// [`ShardSelect::CrossOnly`] launch over the same queries reports
-    /// exactly the neighbours (and charges exactly the candidate work) of
-    /// one plain [`NeighborIndex::batch_neighbors`] launch.
-    pub fn batch_neighbors_stitched(
-        &self,
-        queries: &[Point3],
-        owners: &[u32],
-        select: ShardSelect,
-        eps: f32,
-        counters: &mut WorkCounters,
-        sink: &NeighborSink<'_>,
-    ) {
-        assert_eq!(queries.len(), owners.len(), "one owning shard per query");
-        *counters += match select {
-            ShardSelect::Owner => {
-                self.launch_sink(queries, eps, sink, &|q, s| owners[q] == s, None)
-            }
-            ShardSelect::CrossOnly => {
-                self.launch_sink(queries, eps, sink, &|q, s| owners[q] != s, None)
-            }
-        };
     }
 
     /// Count-mode twin of [`ShardedIndex::launch_sink`]: same reorder /
@@ -1277,7 +1221,7 @@ impl NeighborIndex for ShardedIndex {
         counters: &mut WorkCounters,
         sink: &NeighborSink<'_>,
     ) {
-        *counters += self.launch_sink(queries, eps, sink, &|_, _| true, None);
+        *counters += self.launch_sink(queries, eps, sink, None);
     }
 
     fn batch_neighbor_counts(
@@ -1316,7 +1260,7 @@ impl NeighborIndex for ShardedIndex {
                 partial: Box::new(WorkCounters::ZERO),
             });
         }
-        let total = self.launch_sink(queries, eps, sink, &|_, _| true, Some(scope));
+        let total = self.launch_sink(queries, eps, sink, Some(scope));
         if scope.tripped() {
             return Err(Error::DeadlineExceeded {
                 // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
@@ -1625,51 +1569,6 @@ mod tests {
             }
             assert_eq!(c1.dist_comps, c2.dist_comps);
         }
-    }
-
-    #[test]
-    fn stitched_launches_partition_the_neighbor_set() {
-        let pts = blob_points(400, 21);
-        let eps = 0.7f32;
-        let sharded = ShardedIndex::build(&sharded_config(48), &pts, eps).unwrap();
-        let owners: Vec<u32> = (0..pts.len())
-            .map(|i| sharded.owner_shard(i as u32).unwrap())
-            .collect();
-        let collect = |select: Option<ShardSelect>| {
-            let rows: Vec<Mutex<Vec<u32>>> =
-                (0..pts.len()).map(|_| Mutex::new(Vec::new())).collect();
-            let mut c = WorkCounters::ZERO;
-            let sink = |q: usize, n: Neighbor, _: &mut WorkCounters| {
-                rows[q].lock().push(n.index);
-                NeighborFlow::Continue
-            };
-            match select {
-                Some(s) => sharded.batch_neighbors_stitched(&pts, &owners, s, eps, &mut c, &sink),
-                None => sharded.batch_neighbors(&pts, eps, &mut c, &sink),
-            }
-            let rows: Vec<Vec<u32>> = rows
-                .into_iter()
-                .map(|m| {
-                    let mut v = m.into_inner();
-                    v.sort_unstable();
-                    v
-                })
-                .collect();
-            (rows, c)
-        };
-        let (all, call) = collect(None);
-        let (intra, cintra) = collect(Some(ShardSelect::Owner));
-        let (cross, ccross) = collect(Some(ShardSelect::CrossOnly));
-        for q in 0..pts.len() {
-            let mut merged: Vec<u32> = intra[q].iter().chain(&cross[q]).copied().collect();
-            merged.sort_unstable();
-            assert_eq!(merged, all[q], "query {q}");
-        }
-        assert_eq!(
-            cintra.dist_comps + ccross.dist_comps,
-            call.dist_comps,
-            "intra + cross candidate work must equal the plain launch"
-        );
     }
 
     #[test]

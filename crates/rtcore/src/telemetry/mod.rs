@@ -10,7 +10,7 @@
 //! 1. **Spans** — [`Telemetry::span`] returns a [`Span`] RAII guard scoping
 //!    one pipeline phase ([`PhaseKind`]: LBVH build, BVH4 collapse,
 //!    Morton reorder, stage-1 launch, stage-2 union-find, refit, rebuild,
-//!    streaming slide, TLAS build/visit, shard stitch, degrade).  On drop the span records its
+//!    streaming slide, TLAS build/visit, degrade).  On drop the span records its
 //!    wall-time, thread, nesting depth and an attached [`WorkCounters`]
 //!    delta into a fixed-capacity ring buffer.  Export with
 //!    [`Telemetry::chrome_trace_json`] (open the file in `chrome://tracing`
@@ -136,9 +136,6 @@ pub enum PhaseKind {
     TlasBuild,
     /// TLAS descent enumerating the BLASes a query packet overlaps.
     TlasVisit,
-    /// Cross-shard boundary pass merging clusters through the epoch
-    /// union-find so sharded labels match the flat path.
-    ShardStitch,
     /// A graceful-degradation step under memory pressure or fault
     /// recovery: evicting or quarantining a shard BLAS, or rebuilding one
     /// from quarantine.
@@ -147,7 +144,7 @@ pub enum PhaseKind {
 
 impl PhaseKind {
     /// Every phase, in taxonomy order.
-    pub const ALL: [PhaseKind; 12] = [
+    pub const ALL: [PhaseKind; 11] = [
         PhaseKind::LbvhBuild,
         PhaseKind::Bvh4Collapse,
         PhaseKind::MortonReorder,
@@ -158,7 +155,6 @@ impl PhaseKind {
         PhaseKind::StreamingSlide,
         PhaseKind::TlasBuild,
         PhaseKind::TlasVisit,
-        PhaseKind::ShardStitch,
         PhaseKind::Degrade,
     ];
 
@@ -175,7 +171,6 @@ impl PhaseKind {
             PhaseKind::StreamingSlide => "streaming_slide",
             PhaseKind::TlasBuild => "tlas_build",
             PhaseKind::TlasVisit => "tlas_visit",
-            PhaseKind::ShardStitch => "shard_stitch",
             PhaseKind::Degrade => "degrade",
         }
     }

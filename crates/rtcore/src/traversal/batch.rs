@@ -273,7 +273,7 @@ where
 }
 
 /// What a leaf handler did with one query's run of candidate primitives
-/// (see [`traverse_batch_leaves_with_scratch`]).
+/// (see [`traverse_batch_runs_with_scratch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeafVisit {
     /// Number of primitives actually processed, counting the one that
@@ -322,51 +322,6 @@ where
     )
 }
 
-/// [`traverse_batch_with_scratch`] under a [`CancelScope`]: identical
-/// traversal, counters and outcomes while the scope stays untripped, but
-/// the launch winds down cooperatively (checked at packet-launch and
-/// wide-node-frontier granularity) once the deadline passes or the token
-/// is cancelled.
-///
-/// On cancellation every partial outcome is discarded and
-/// [`crate::Error::DeadlineExceeded`] is returned carrying the counters of
-/// the work performed by this launch; the caller's `counters` are only
-/// charged on success, so a cancelled launch never skews accounting.
-/// With [`CancelScope::none`] the call is bit-identical to
-/// [`traverse_batch_with_scratch`] (the alloc-regression and hotpath
-/// suites pin this).
-pub fn traverse_batch_with_scratch_cancellable<'s, F>(
-    wide: &WideBvh,
-    rays: &[Ray],
-    scratch: &'s mut TraversalScratch,
-    counters: &mut WorkCounters,
-    cancel: &CancelScope,
-    on_primitive: F,
-) -> crate::error::Result<&'s [TraversalOutcome]>
-where
-    F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
-{
-    let mut local = WorkCounters::ZERO;
-    let outcomes = traverse_batch_with_scratch_sink(
-        wide,
-        rays,
-        scratch,
-        &mut local,
-        detect_simd(),
-        NoSink,
-        Some(cancel),
-        on_primitive,
-    );
-    if cancel.tripped() {
-        return Err(crate::error::Error::DeadlineExceeded {
-            // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
-            partial: Box::new(local),
-        });
-    }
-    *counters += local;
-    Ok(outcomes)
-}
-
 /// The per-primitive callback form of the wavefront engine with a
 /// node-visit sink for the heatmap profiler, an optional [`CancelScope`]
 /// and the hit-mask SIMD `level` resolved once by the caller (see
@@ -411,46 +366,6 @@ where
                 visited,
                 terminate: false,
             }
-        },
-    )
-}
-
-/// The wavefront engine's leaf-segment form: `on_leaf` receives one
-/// query's **whole run of candidate primitives** per reached leaf slot —
-/// `(packet-local query, &[Sphere], packet counters)` — instead of one
-/// callback per primitive.
-///
-/// This is the shape the hot backends consume: a monomorphic candidate
-/// loop in the caller can hoist its per-candidate counter charging to one
-/// add per run (subtracting the tail on early termination), which is
-/// measurably cheaper than 150M+ per-candidate callback returns.  The
-/// handler reports how many primitives it actually processed via
-/// [`LeafVisit`]; the engine charges `prim_tests`/`primitives_visited`
-/// from that, so aggregate counters are bit-identical to the per-primitive
-/// form.
-pub fn traverse_batch_leaves_with_scratch<'s, F>(
-    wide: &WideBvh,
-    rays: &[Ray],
-    scratch: &'s mut TraversalScratch,
-    counters: &mut WorkCounters,
-    mut on_leaf: F,
-) -> &'s [TraversalOutcome]
-where
-    F: FnMut(usize, &[Sphere], &mut WorkCounters) -> LeafVisit,
-{
-    let prims = &wide.primitives;
-    traverse_batch_runs_with_scratch(
-        wide,
-        rays,
-        scratch,
-        counters,
-        detect_simd(),
-        move |q, first, count, counters| {
-            on_leaf(
-                q,
-                &prims[first as usize..(first + count) as usize],
-                counters,
-            )
         },
     )
 }

@@ -22,8 +22,7 @@ pub mod scratch;
 
 pub use batch::{
     collect_sphere_hits_batch, collect_sphere_hits_csr, traverse_batch,
-    traverse_batch_leaves_with_scratch, traverse_batch_runs_with_scratch,
-    traverse_batch_with_scratch, traverse_batch_with_scratch_cancellable, traverse_wide,
+    traverse_batch_runs_with_scratch, traverse_batch_with_scratch, traverse_wide,
     traverse_wide_with_scratch, LeafVisit,
 };
 pub(crate) use batch::{

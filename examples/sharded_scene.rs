@@ -1,5 +1,7 @@
 //! Two-level scenes: the same clustering through a TLAS over sharded
-//! bottom-level BVHs, with cross-shard cluster stitching.
+//! bottom-level BVHs.  Stage 2 is one flat launch there too: each core
+//! point's query reaches every shard it overlaps, so clusters that span
+//! shard cuts merge in the one union-find.
 //!
 //! ```text
 //! cargo run --release --example sharded_scene
@@ -7,8 +9,8 @@
 //!
 //! Builds the same workload twice — once on the flat wide-batched backend,
 //! once with `shard_size` set so the scene splits into a top-level BVH over
-//! Morton-range shards — and shows that labels and stage-1 candidate
-//! counters are identical while the sharded run routes through the TLAS
+//! Morton-range shards — and shows that labels and candidate counters of
+//! both stages are identical while the sharded run routes through the TLAS
 //! and builds its shards in parallel.  Then demonstrates the streaming
 //! payoff: evicting a whole region of space drops its bottom-level BVH
 //! outright instead of refitting it.
@@ -72,9 +74,14 @@ fn main() {
         sharded.counters.core_identification.blas_launches,
     );
     assert_eq!(flat.clustering.core, sharded.clustering.core);
+    assert_eq!(flat.clustering.labels, sharded.clustering.labels);
     assert_eq!(
         flat.counters.core_identification.dist_comps,
         sharded.counters.core_identification.dist_comps
+    );
+    assert_eq!(
+        flat.counters.cluster_formation.dist_comps,
+        sharded.counters.cluster_formation.dist_comps
     );
     assert!(same_clustering(
         &flat.clustering,
